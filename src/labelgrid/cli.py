@@ -13,7 +13,7 @@ import numpy as np
 from . import fileio
 from .fusion import DEFAULT_P_MIN, GateConfig, fuse_stream
 from .geometry import Box3
-from .grid import LabelOccupancyGrid
+from .grid import LabelOccupancyGrid, probability, unpack_codes
 from .metrics import iou_3d
 from .simulator import NoiseModel, load_scene, load_trajectory, simulate
 
@@ -108,9 +108,9 @@ def cmd_fuse(args) -> int:
 
 
 def _evaluate(grid: LabelOccupancyGrid, label: int, box: Box3) -> dict:
-    segment = grid.segment(label)
+    segment = grid.segment_keys(label)
     report = iou_3d(segment, grid.resolution, box)
-    centroid = grid.centroid(label)
+    centroid = grid.centroid(label, segment)
     return {
         "label": label,
         "v_tp": report.v_tp,
@@ -161,12 +161,12 @@ def cmd_eval(args) -> int:
 
 def cmd_export(args) -> int:
     grid = fileio.load_grid(args.snapshot)
-    keys = sorted(key for key, vec in grid.items()
-                  if grid.voxel_probability(key, args.label) > args.threshold)
-    points = np.asarray([grid.voxel_center(k) for k in keys], dtype=float).reshape(-1, 3)
-    probs = np.asarray([grid.voxel_probability(k, args.label) for k in keys])
-    fileio.write_ply(args.out, points, probs)
-    print(f"wrote {len(keys)} vertices to {args.out}")
+    # the scalar sigmoid keeps the printed probabilities bit-exact
+    probs = np.array([probability(v) for v in grid.label_log_odds(args.label).tolist()])
+    keep = probs > args.threshold
+    points = grid.voxel_center(unpack_codes(grid.codes[keep]))
+    fileio.write_ply(args.out, points, probs[keep])
+    print(f"wrote {np.count_nonzero(keep)} vertices to {args.out}")
     return 0
 
 

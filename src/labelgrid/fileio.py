@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Box3, Pose
-from .grid import LabelOccupancyGrid, VoxelKey
+from .grid import LabelOccupancyGrid, pack_keys, unpack_codes
 from .registration import CameraIntrinsics, SensorFrame
 
 LGRID_MAGIC = b"LGRID1\n"
@@ -102,6 +102,11 @@ def read_probimg(path) -> np.ndarray:
 
 # --- grid snapshots (LGRID1) ---------------------------------------------
 
+def _lgrid_cell_dtype(num_labels: int) -> np.dtype:
+    """One LGRID1 cell: the voxel key as 3 x i32, then one f32 log-odds per label."""
+    return np.dtype([("key", "<i4", (3,)), ("log_odds", "<f4", (num_labels,))])
+
+
 def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
     parts = [LGRID_MAGIC, struct.pack("<dId", grid.resolution, grid.num_labels, grid.clamp)]
     if grid.roi is not None:
@@ -109,13 +114,12 @@ def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
         parts.append(struct.pack("<6d", *grid.roi.min, *grid.roi.max))
     else:
         parts.append(struct.pack("<B", 0))
-    cells = sorted(grid.items())
-    parts.append(struct.pack("<Q", len(cells)))
-    for key, vec in cells:
-        if not all(-(2 ** 31) <= k < 2 ** 31 for k in key):
-            raise ValueError(f"voxel key {key} does not fit in int32")
-        parts.append(struct.pack("<3i", *key))
-        parts.append(np.asarray(vec, dtype="<f4").tobytes())
+    parts.append(struct.pack("<Q", len(grid)))
+    # code order is key order, and every key fits in 21 bits, so in int32
+    cells = np.empty(len(grid), dtype=_lgrid_cell_dtype(grid.num_labels))
+    cells["key"] = unpack_codes(grid.codes)
+    cells["log_odds"] = grid.log_odds_matrix
+    parts.append(cells.tobytes())
     return b"".join(parts)
 
 
@@ -145,16 +149,15 @@ def grid_from_bytes(raw: bytes) -> LabelOccupancyGrid:
         roi = Box3(coords[:3], coords[3:])
     (count,) = unpack("<Q")
     grid = LabelOccupancyGrid(resolution, num_labels, clamp=clamp, roi=roi)
-    vec_bytes = 4 * num_labels
-    for _ in range(count):
-        ix, iy, iz = unpack("<3i")
-        if pos + vec_bytes > len(raw):
-            raise ValueError("truncated LGRID1 snapshot")
-        vec = np.frombuffer(raw, dtype="<f4", count=num_labels, offset=pos).astype(float)
-        pos += vec_bytes
-        grid._set_cell(VoxelKey(ix, iy, iz), vec)
-    if pos != len(raw):
-        raise ValueError(f"{len(raw) - pos} trailing bytes after LGRID1 payload")
+    # Python ints: a huge count fails here, before anything is allocated
+    payload = count * (12 + 4 * num_labels)
+    if pos + payload > len(raw):
+        raise ValueError("truncated LGRID1 snapshot")
+    if pos + payload != len(raw):
+        raise ValueError(f"{len(raw) - pos - payload} trailing bytes after LGRID1 payload")
+    if count:
+        cells = np.frombuffer(raw, dtype=_lgrid_cell_dtype(num_labels), count=count, offset=pos)
+        grid.set_cells(pack_keys(cells["key"]), cells["log_odds"])
     return grid
 
 

@@ -102,9 +102,7 @@ def fuse_stream(grid: LabelOccupancyGrid,
             result = register_frame(frame, grid.resolution, grid.roi)
             stats.pixels_skipped_depth += result.pixels_skipped_depth
             stats.pixels_skipped_roi += result.pixels_skipped_roi
-            for measurement in result.measurements:
-                probs = np.clip(measurement.label_p, p_min, 1.0 - p_min)
-                grid.update_voxel_probs(measurement.key, probs)
+            grid.update(result.codes, np.clip(result.means, p_min, 1.0 - p_min))
             stats.frames_fused += 1
         else:
             stats.frames_gated += 1

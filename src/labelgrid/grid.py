@@ -5,16 +5,28 @@ never updated is implicitly all-zero, i.e. probability 0.5 for every label
 (the unknown state). Updates add the logit of the measured probability to
 the stored value and saturate at a symmetric clamp bound so the map stays
 revisable under contradicting evidence.
+
+The grid is columnar: a sorted int64 array of voxel codes and an
+``(N, num_labels)`` float64 log-odds matrix whose row ``i`` belongs to
+code ``i``. A code packs the three key components, each offset by 2**20
+into 21 bits, most significant axis first, so code order is ``(ix, iy, iz)``
+lexicographic order. Keys must therefore lie in [-2**20, 2**20) on every
+axis (about +-5.2 km at 5 mm voxels); any other key raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .geometry import Box3
+
+KEY_BITS = 21
+KEY_OFFSET = 1 << (KEY_BITS - 1)
+_KEY_MASK = (1 << KEY_BITS) - 1
 
 
 class VoxelKey(NamedTuple):
@@ -51,16 +63,72 @@ def world_to_key(point, resolution: float) -> VoxelKey:
 
 
 def voxel_center(key, resolution: float) -> np.ndarray:
-    """World coordinates of a voxel's center."""
+    """World coordinates of a voxel's center; also maps (N, 3) keys to (N, 3) centers."""
     return (np.asarray(key, dtype=float) + 0.5) * resolution
 
 
-def voxel_min_corner(key, resolution: float) -> np.ndarray:
-    return np.asarray(key, dtype=float) * resolution
+def _key_range_error(key) -> ValueError:
+    return ValueError(f"voxel key {key} outside [-2**20, 2**20) on some axis")
+
+
+def pack_key(key) -> int:
+    """Code of one integer voxel key (Python ints, no numpy on this path)."""
+    ix, iy, iz = map(operator.index, key)
+    if not (-KEY_OFFSET <= ix < KEY_OFFSET and -KEY_OFFSET <= iy < KEY_OFFSET
+            and -KEY_OFFSET <= iz < KEY_OFFSET):
+        raise _key_range_error((ix, iy, iz))
+    return ((ix + KEY_OFFSET) << (2 * KEY_BITS)) | ((iy + KEY_OFFSET) << KEY_BITS) \
+        | (iz + KEY_OFFSET)
+
+
+def pack_keys(keys) -> np.ndarray:
+    """int64 codes of an (N, 3) integer key array; a key out of range raises ValueError."""
+    keys = np.asarray(keys).reshape(-1, 3)
+    if keys.dtype.kind not in "iu":
+        raise TypeError(f"voxel keys must be integers, got dtype {keys.dtype}")
+    if keys.size and (keys.min() < -KEY_OFFSET or keys.max() >= KEY_OFFSET):
+        bad = ((keys < -KEY_OFFSET) | (keys >= KEY_OFFSET)).any(axis=1)
+        raise _key_range_error(tuple(keys[np.argmax(bad)].tolist()))
+    shifted = keys.astype(np.int64) + KEY_OFFSET
+    return (shifted[:, 0] << (2 * KEY_BITS)) | (shifted[:, 1] << KEY_BITS) | shifted[:, 2]
+
+
+def unpack_codes(codes) -> np.ndarray:
+    """(N, 3) int64 voxel keys of an int64 code array."""
+    codes = np.asarray(codes, dtype=np.int64)
+    keys = np.empty((codes.shape[0], 3), dtype=np.int64)
+    keys[:, 0] = codes >> (2 * KEY_BITS)
+    keys[:, 1] = (codes >> KEY_BITS) & _KEY_MASK
+    keys[:, 2] = codes & _KEY_MASK
+    keys -= KEY_OFFSET
+    return keys
+
+
+def _sorted_codes(codes) -> np.ndarray:
+    """``codes`` as int64, checked to be valid codes in strictly increasing order."""
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be a 1-D integer array, got {codes.dtype} {codes.shape}")
+    codes = codes.astype(np.int64, copy=False)
+    if codes.size and codes[0] < 0:
+        raise ValueError(f"invalid voxel code {int(codes[0])}")
+    if (codes[1:] <= codes[:-1]).any():
+        raise ValueError("voxel codes must be strictly increasing (no duplicates)")
+    return codes
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
 
 
 class LabelOccupancyGrid:
-    """Sparse association VoxelKey -> per-label log-odds vector.
+    """Sparse association voxel key -> per-label log-odds vector.
+
+    Cells are stored as a sorted int64 code array (see :func:`pack_key`)
+    and an ``(N, num_labels)`` float64 log-odds matrix with one row per
+    code; :attr:`codes` and :attr:`log_odds_matrix` are read-only views.
 
     Parameters
     ----------
@@ -93,7 +161,8 @@ class LabelOccupancyGrid:
         self.clamp = clamp
         self.roi = roi
         self.discarded_updates = 0
-        self._cells: dict[VoxelKey, np.ndarray] = {}
+        self._codes = np.empty(0, dtype=np.int64)
+        self._values = np.empty((0, num_labels))
 
     @property
     def resolution(self) -> float:
@@ -103,17 +172,29 @@ class LabelOccupancyGrid:
     def num_labels(self) -> int:
         return self._num_labels
 
+    @property
+    def codes(self) -> np.ndarray:
+        """Sorted voxel codes, one per stored cell (read-only view)."""
+        return _read_only(self._codes)
+
+    @property
+    def log_odds_matrix(self) -> np.ndarray:
+        """(N, num_labels) log-odds, row i belonging to ``codes[i]`` (read-only view)."""
+        return _read_only(self._values)
+
     def __len__(self) -> int:
-        return len(self._cells)
+        return self._codes.shape[0]
 
     def __contains__(self, key) -> bool:
-        return VoxelKey(*key) in self._cells
+        return self._find(pack_key(key)) >= 0
 
     def keys(self) -> Iterator[VoxelKey]:
-        return iter(self._cells)
+        """Stored voxel keys in ascending key order."""
+        return (VoxelKey(*k) for k in unpack_codes(self._codes).tolist())
 
-    def items(self):
-        return self._cells.items()
+    def items(self) -> Iterator[tuple[VoxelKey, np.ndarray]]:
+        """(key, read-only log-odds row) pairs in ascending key order."""
+        return zip(self.keys(), self.log_odds_matrix)
 
     def world_to_key(self, point) -> VoxelKey:
         return world_to_key(point, self._resolution)
@@ -121,95 +202,137 @@ class LabelOccupancyGrid:
     def voxel_center(self, key) -> np.ndarray:
         return voxel_center(key, self._resolution)
 
-    def inside_roi(self, key) -> bool:
-        """A voxel counts as inside the roi iff its center is inside."""
-        if self.roi is None:
-            return True
-        return bool(self.roi.contains(self.voxel_center(key)))
-
     def _check_label(self, label: int) -> int:
         label = int(label)
         if not 0 <= label < self._num_labels:
             raise ValueError(f"label {label} out of range [0, {self._num_labels - 1}]")
         return label
 
+    def _find(self, code: int) -> int:
+        """Row of ``code``, or -1 when the voxel has no cell."""
+        row = int(self._codes.searchsorted(code))
+        if row < self._codes.shape[0] and self._codes[row] == code:
+            return row
+        return -1
+
+    def update(self, codes, probs) -> None:
+        """Add one measurement vector per voxel, for a batch of distinct voxels.
+
+        ``codes`` is a strictly increasing int64 code array (as
+        :func:`~labelgrid.registration.register_frame` returns it) and
+        ``probs`` an ``(N, num_labels)`` array of probabilities strictly
+        inside (0, 1). Every cell gets ``clip(row + log(p / (1 - p)), -clamp,
+        clamp)``; voxels without a cell start from zero. Voxels whose center
+        lies outside the roi are dropped and counted.
+        """
+        codes = _sorted_codes(codes)
+        p = np.asarray(probs, dtype=float)
+        if p.shape != (codes.shape[0], self._num_labels):
+            raise ValueError(f"expected ({codes.shape[0]}, {self._num_labels}) probabilities, "
+                             f"got shape {p.shape}")
+        if not ((p > 0.0) & (p < 1.0)).all():
+            raise ValueError("measurement probabilities must lie strictly in (0, 1)")
+        if self.roi is not None:
+            inside = self.roi.contains(voxel_center(unpack_codes(codes), self._resolution))
+            self.discarded_updates += int(codes.shape[0] - np.count_nonzero(inside))
+            codes, p = codes[inside], p[inside]
+        delta = np.log(p / (1.0 - p))
+        rows = self._codes.searchsorted(codes)
+        new = rows >= self._codes.shape[0]
+        new[~new] = self._codes[rows[~new]] != codes[~new]
+        if new.any():
+            self._codes = np.insert(self._codes, rows[new], codes[new])
+            self._values = np.insert(self._values, rows[new], 0.0, axis=0)
+            # each code moves down by the number of new codes sorted before it
+            rows += np.cumsum(new) - new
+        cells = self._values[rows] + delta
+        np.clip(cells, -self.clamp, self.clamp, out=cells)
+        self._values[rows] = cells
+
     def update_voxel(self, key, label: int, measurement_p: float) -> None:
         """Add one measurement for (voxel, label); other labels unchanged.
 
-        Updates outside the roi are silently dropped and counted.
+        Updates outside the roi are silently dropped and counted. A new
+        cell is inserted into the sorted arrays, so building a large grid
+        one voxel at a time is quadratic; fuse frames with :meth:`update`.
         """
-        key = VoxelKey(*key)
+        code = pack_key(key)
         label = self._check_label(label)
         delta = logit(measurement_p)
-        if not self.inside_roi(key):
+        if self.roi is not None and not self.roi.contains(self.voxel_center(key)):
             self.discarded_updates += 1
             return
-        vec = self._cells.get(key)
-        if vec is None:
-            vec = np.zeros(self._num_labels)
-            self._cells[key] = vec
-        vec[label] = min(max(vec[label] + delta, -self.clamp), self.clamp)
+        row = int(self._codes.searchsorted(code))
+        if row == self._codes.shape[0] or self._codes[row] != code:
+            self._codes = np.insert(self._codes, row, code)
+            self._values = np.insert(self._values, row, 0.0, axis=0)
+        value = float(self._values[row, label]) + delta
+        self._values[row, label] = min(max(value, -self.clamp), self.clamp)
 
     def update_voxel_probs(self, key, probs) -> None:
         """Vector form of :meth:`update_voxel` covering every label at once."""
-        key = VoxelKey(*key)
         p = np.asarray(probs, dtype=float)
         if p.shape != (self._num_labels,):
             raise ValueError(f"expected {self._num_labels} probabilities, got shape {p.shape}")
-        if not ((p > 0.0) & (p < 1.0)).all():
-            raise ValueError("measurement probabilities must lie strictly in (0, 1)")
-        if not self.inside_roi(key):
-            self.discarded_updates += 1
-            return
-        vec = self._cells.get(key)
-        if vec is None:
-            vec = np.zeros(self._num_labels)
-            self._cells[key] = vec
-        np.clip(vec + np.log(p / (1.0 - p)), -self.clamp, self.clamp, out=vec)
+        self.update(np.array([pack_key(key)], dtype=np.int64), p[None, :])
 
     def log_odds(self, key, label: int) -> float:
-        vec = self._cells.get(VoxelKey(*key))
-        if vec is None:
-            return 0.0
-        return float(vec[self._check_label(label)])
+        row = self._find(pack_key(key))
+        label = self._check_label(label)
+        return 0.0 if row < 0 else float(self._values[row, label])
 
     def log_odds_vector(self, key) -> np.ndarray:
-        vec = self._cells.get(VoxelKey(*key))
-        if vec is None:
+        row = self._find(pack_key(key))
+        if row < 0:
             return np.zeros(self._num_labels)
-        return vec.copy()
+        return self._values[row].copy()
 
     def voxel_probability(self, key, label: int) -> float:
         """Stored probability for (voxel, label); 0.5 for untouched voxels."""
         return probability(self.log_odds(key, label))
 
+    def label_log_odds(self, label: int) -> np.ndarray:
+        """Log-odds of one label for every cell, in code order (read-only view)."""
+        return self.log_odds_matrix[:, self._check_label(label)]
+
+    def segment_keys(self, label: int) -> np.ndarray:
+        """(K, 3) int64 keys, in ascending key order, whose probability for
+        ``label`` strictly exceeds 0.5."""
+        return unpack_codes(self._codes[self.label_log_odds(label) > 0.0])
+
     def segment(self, label: int) -> set[VoxelKey]:
         """Keys whose probability for ``label`` strictly exceeds 0.5."""
-        label = self._check_label(label)
-        return {key for key, vec in self._cells.items() if vec[label] > 0.0}
+        return {VoxelKey(*k) for k in self.segment_keys(label).tolist()}
 
-    def centroid(self, label: int) -> Optional[np.ndarray]:
-        """Unweighted mean of segment voxel centers, or None if empty."""
-        seg = self.segment(label)
-        if not seg:
+    def centroid(self, label: int, segment: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
+        """Unweighted mean of segment voxel centers, or None if empty.
+
+        ``segment`` may pass ``segment_keys(label)`` when the caller has it.
+        """
+        keys = self.segment_keys(label) if segment is None else segment
+        if len(keys) == 0:
             return None
-        keys = np.asarray(sorted(seg), dtype=float)
-        return ((keys + 0.5) * self._resolution).mean(axis=0)
+        return voxel_center(keys, self._resolution).mean(axis=0)
 
-    def _set_cell(self, key, values) -> None:
-        """Restore a raw log-odds vector (snapshot loading only)."""
-        vec = np.asarray(values, dtype=float)
-        if vec.shape != (self._num_labels,):
-            raise ValueError(f"expected {self._num_labels} log-odds values, got shape {vec.shape}")
-        self._cells[VoxelKey(*key)] = vec.copy()
+    def set_cells(self, codes, values) -> None:
+        """Replace every cell with raw log-odds rows (snapshot loading).
+
+        ``codes`` must be strictly increasing; ``values`` is (N, num_labels).
+        """
+        codes = _sorted_codes(codes)
+        values = np.array(values, dtype=float)
+        if values.shape != (codes.shape[0], self._num_labels):
+            raise ValueError(f"expected {codes.shape[0]} x {self._num_labels} log-odds values, "
+                             f"got shape {values.shape}")
+        self._codes = codes.copy()
+        self._values = values
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelOccupancyGrid):
             return NotImplemented
-        if (self._resolution != other._resolution
-                or self._num_labels != other._num_labels
-                or self.clamp != other.clamp
-                or self.roi != other.roi
-                or self._cells.keys() != other._cells.keys()):
-            return False
-        return all(np.array_equal(vec, other._cells[key]) for key, vec in self._cells.items())
+        return (self._resolution == other._resolution
+                and self._num_labels == other._num_labels
+                and self.clamp == other.clamp
+                and self.roi == other.roi
+                and np.array_equal(self._codes, other._codes)
+                and np.array_equal(self._values, other._values))

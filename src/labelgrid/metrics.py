@@ -23,15 +23,20 @@ class IouReport:
 
 
 def iou_3d(voxels, resolution: float, gt: Box3) -> IouReport:
-    """Volume IoU between a set of voxel keys and a ground-truth box.
+    """Volume IoU between voxel keys and a ground-truth box.
 
-    v_tp is the exact summed cube/box intersection volume, v_fp the
-    remaining voxel volume, v_fn the remaining box volume, and
-    iou = v_tp / (v_tp + v_fp + v_fn).
+    ``voxels`` is a collection of distinct (ix, iy, iz) keys or an (N, 3)
+    integer key array. v_tp is the exact summed cube/box intersection
+    volume, v_fp the remaining voxel volume, v_fn the remaining box volume,
+    and iou = v_tp / (v_tp + v_fp + v_fn). Volumes are summed in key order,
+    so the result does not depend on the order the keys come in.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    keys = np.asarray(sorted(voxels), dtype=float).reshape(-1, 3)
+    if not isinstance(voxels, np.ndarray):
+        voxels = list(voxels)
+    keys = np.asarray(voxels, dtype=float).reshape(-1, 3)
+    keys = keys[np.lexsort(keys.T[::-1])]
     count = keys.shape[0]
     if count:
         cube_min = keys * resolution

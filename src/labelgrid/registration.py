@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import Box3, Pose
-from .grid import VoxelKey
+from .grid import VoxelKey, pack_keys, unpack_codes, voxel_center
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,23 @@ class VoxelMeasurement(NamedTuple):
 
 @dataclass
 class RegistrationResult:
-    measurements: list[VoxelMeasurement]
+    """Per-voxel mean probabilities of one frame.
+
+    ``codes`` holds the strictly increasing voxel codes (see
+    :func:`~labelgrid.grid.pack_key`) and ``means`` the matching
+    ``(N, num_labels)`` mean probability rows.
+    """
+
+    codes: np.ndarray
+    means: np.ndarray
     pixels_skipped_depth: int
     pixels_skipped_roi: int
+
+    @property
+    def measurements(self) -> list[VoxelMeasurement]:
+        """The result as one (key, probabilities) pair per voxel, in key order."""
+        keys = unpack_codes(self.codes).tolist()
+        return [VoxelMeasurement(VoxelKey(*k), row) for k, row in zip(keys, self.means)]
 
 
 def register_frame(frame: SensorFrame, resolution: float,
@@ -154,7 +168,8 @@ def register_frame(frame: SensorFrame, resolution: float,
     Pixels landing in the same voxel are averaged (one measurement per
     voxel per frame). Voxels whose center falls outside ``roi`` are
     dropped and counted. Output is sorted by voxel key and deterministic:
-    same-voxel contributions accumulate in pixel row-major order.
+    same-voxel contributions accumulate in pixel row-major order. A kept
+    voxel key outside [-2**20, 2**20) on any axis raises ``ValueError``.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -162,8 +177,13 @@ def register_frame(frame: SensorFrame, resolution: float,
     depth = frame.depth
     valid = np.isfinite(depth) & (depth > 0)
     skipped_depth = int(depth.size - np.count_nonzero(valid))
+
+    def empty(skipped_roi: int) -> RegistrationResult:
+        return RegistrationResult(np.empty(0, dtype=np.int64), np.empty((0, frame.num_labels)),
+                                  skipped_depth, skipped_roi)
+
     if skipped_depth == depth.size:
-        return RegistrationResult([], skipped_depth, 0)
+        return empty(0)
 
     vv, uu = np.nonzero(valid)
     d = depth[vv, uu]
@@ -176,23 +196,24 @@ def register_frame(frame: SensorFrame, resolution: float,
     keys = np.floor(world / resolution).astype(np.int64)
 
     skipped_roi = 0
-    probs = frame.probabilities()[vv, uu]
     if roi is not None:
-        centers = (keys + 0.5) * resolution
-        keep = roi.contains(centers)
+        keep = roi.contains(voxel_center(keys, resolution))
         skipped_roi = int(keys.shape[0] - np.count_nonzero(keep))
-        keys = keys[keep]
-        probs = probs[keep]
+        keys, vv, uu = keys[keep], vv[keep], uu[keep]
     if keys.shape[0] == 0:
-        return RegistrationResult([], skipped_depth, skipped_roi)
+        return empty(skipped_roi)
 
-    unique_keys, inverse, counts = np.unique(keys, axis=0,
-                                             return_inverse=True, return_counts=True)
-    sums = np.zeros((unique_keys.shape[0], probs.shape[1]))
-    np.add.at(sums, inverse, probs)
-    means = sums / counts[:, None]
-    measurements = [
-        VoxelMeasurement(VoxelKey(int(k[0]), int(k[1]), int(k[2])), means[i])
-        for i, k in enumerate(unique_keys)
-    ]
-    return RegistrationResult(measurements, skipped_depth, skipped_roi)
+    codes = pack_keys(keys)
+    # stable, so same-voxel pixels keep their row-major order in the sums
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    probs = frame.probabilities()[vv[order], uu[order]]
+    # np.add.at adds the rows one at a time, in order, so each sum is the
+    # plain left-to-right sum; np.add.reduceat would regroup runs of 8 or
+    # more rows and move the mean by an ulp
+    first = np.concatenate(([True], codes[1:] != codes[:-1]))
+    voxel = np.cumsum(first) - 1
+    sums = np.zeros((int(voxel[-1]) + 1, probs.shape[1]))
+    np.add.at(sums, voxel, probs)
+    counts = np.bincount(voxel)
+    return RegistrationResult(codes[first], sums / counts[:, None], skipped_depth, skipped_roi)

@@ -124,6 +124,28 @@ class TestFuse:
         assert snaps[-1].read_bytes() == (tmp_path / "grid.lgrid").read_bytes()
 
 
+    def test_keys_past_the_range_exit_2(self, tmp_path, capsys):
+        from labelgrid import CameraIntrinsics, Pose
+        from labelgrid.fileio import pose_record, write_depth_pgm, write_probimg
+
+        intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=2.0, width=4, height=4)
+        write_depth_pgm(tmp_path / "d.pgm", np.full((4, 4), 1.0))
+        write_probimg(tmp_path / "p.probimg", np.full((4, 4, 2), 0.5))
+        # 20 km out: past 2**20 voxels of 5 mm on the z axis
+        pose = Pose(np.eye(3), [0.0, 0.0, 20_000.0])
+        write_manifest(tmp_path / "manifest.json", [{
+            "depth_file": "d.pgm", "proba_file": "p.probimg", "timestamp": 0.0,
+            "pose": pose_record(pose, intr, 0.0)}])
+        common = ["fuse", tmp_path / "manifest.json", "--num-labels", 2, "--settle-frames", 1]
+        code, _, err = run_cli(capsys, *common, "--out", tmp_path / "far.lgrid")
+        assert code == 2
+        assert "outside" in err
+        code, out, _ = run_cli(capsys, *common, "--roi", "0,0,0,0.3,0.3,0.4",
+                               "--out", tmp_path / "clipped.lgrid")
+        assert code == 0
+        assert json.loads(out)["cells"] == 0
+
+
 class TestEval:
     def fuse(self, sim_run, tmp_path, capsys, **kw):
         snapshot = tmp_path / "grid.lgrid"
@@ -240,3 +262,25 @@ class TestExport:
         assert code == 0
         header = ply.read_text().splitlines()[2]
         assert header == f"element vertex {len(loaded.segment(1))}"
+
+    def test_vertices_match_per_voxel_probabilities(self, tmp_path, capsys):
+        rng = np.random.default_rng(16)
+        grid = LabelOccupancyGrid(0.25, 3)
+        for _ in range(300):
+            grid.update_voxel(tuple(rng.integers(-4, 4, size=3)), int(rng.integers(0, 3)),
+                              float(rng.uniform(0.05, 0.95)))
+        snapshot = tmp_path / "g.lgrid"
+        save_grid(snapshot, grid)
+        loaded = load_grid(snapshot)
+        ply = tmp_path / "out.ply"
+        code, _, _ = run_cli(capsys, "export", snapshot, "--label", 2,
+                             "--threshold", 0.4, "--out", ply)
+        assert code == 0
+        expected = []
+        for key in sorted(loaded.keys()):
+            p = loaded.voxel_probability(key, 2)
+            if p > 0.4:
+                x, y, z = loaded.voxel_center(key)
+                expected.append(f"{float(x)!r} {float(y)!r} {float(z)!r} {p!r}")
+        assert expected
+        assert ply.read_text().splitlines()[8:] == expected

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +156,65 @@ class TestLgridSnapshot:
             grid_from_bytes(raw + b"x")
         with pytest.raises(ValueError):
             grid_from_bytes(b"NOTGRID" + raw)
+
+
+# header: magic + (d, I, d) + roi flag, then the u64 cell count
+COUNT_OFFSET = 7 + 8 + 4 + 8 + 1
+
+
+def lgrid_cells(grid):
+    """Header bytes and the list of per-cell byte strings of a snapshot."""
+    raw = grid_to_bytes(grid)
+    cell = 12 + 4 * grid.num_labels
+    body = raw[COUNT_OFFSET + 8:]
+    return raw[:COUNT_OFFSET], [body[i:i + cell] for i in range(0, len(body), cell)]
+
+
+def lgrid_with_cells(header, cells):
+    return header + struct.pack("<Q", len(cells)) + b"".join(cells)
+
+
+class TestLgridReaderHardening:
+    @pytest.mark.parametrize("count", [2 ** 40, 2 ** 62, 2 ** 64 - 1])
+    def test_huge_cell_count_rejected_without_allocating(self, count):
+        header, cells = lgrid_cells(populated_grid())
+        raw = header + struct.pack("<Q", count) + b"".join(cells)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="truncated"):
+                grid_from_bytes(raw)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_unsorted_keys_rejected(self):
+        header, cells = lgrid_cells(populated_grid())
+        cells[3], cells[4] = cells[4], cells[3]
+        with pytest.raises(ValueError, match="increasing"):
+            grid_from_bytes(lgrid_with_cells(header, cells))
+
+    def test_duplicate_keys_rejected(self):
+        header, cells = lgrid_cells(populated_grid())
+        with pytest.raises(ValueError, match="duplicate"):
+            grid_from_bytes(lgrid_with_cells(header, cells[:5] + cells[4:]))
+
+    @pytest.mark.parametrize("key", [(2 ** 20, 0, 0), (0, -(2 ** 20) - 1, 0), (0, 0, 2 ** 31 - 1)])
+    def test_key_past_the_range_rejected(self, key):
+        header, cells = lgrid_cells(populated_grid())
+        cells[-1] = struct.pack("<3i", *key) + cells[-1][12:]
+        with pytest.raises(ValueError, match="outside"):
+            grid_from_bytes(lgrid_with_cells(header, cells))
+
+    def test_extreme_keys_round_trip(self):
+        grid = LabelOccupancyGrid(0.005, 2)
+        keys = [(-(2 ** 20), 0, 0), (-(2 ** 20 - 1), 5, 2 ** 20 - 1), (2 ** 20 - 1, 0, 0)]
+        for key in keys:
+            grid.update_voxel(key, 1, 0.8)
+        raw = grid_to_bytes(grid)
+        loaded = grid_from_bytes(raw)
+        assert list(loaded.keys()) == keys
+        assert grid_to_bytes(loaded) == raw
 
 
 class TestManifestAndFrames:

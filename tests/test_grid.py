@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from labelgrid import (Box3, LabelOccupancyGrid, VoxelKey, logit, probability,
                        voxel_center, world_to_key)
+from labelgrid.grid import pack_key, pack_keys, unpack_codes
+from oracles import oracle_update
+
+KEY_LIMIT = 2 ** 20  # keys must lie in [-KEY_LIMIT, KEY_LIMIT) on every axis
 
 # high-precision oracle values, frozen from 30-digit evaluation
 LN_7_OVER_3 = 0.8472978603872036      # ln(0.7 / 0.3)
@@ -302,3 +306,84 @@ class TestConstruction:
             g.resolution = 0.5
         with pytest.raises(AttributeError):
             g.num_labels = 8
+
+
+class TestKeyRange:
+    @pytest.mark.parametrize("key", [(KEY_LIMIT - 1, 0, 0), (0, -(KEY_LIMIT - 1), 0),
+                                     (0, 0, -KEY_LIMIT),
+                                     (KEY_LIMIT - 1, -KEY_LIMIT, KEY_LIMIT - 1)])
+    def test_extreme_keys_accepted(self, key):
+        g = LabelOccupancyGrid(0.005, 2)
+        g.update_voxel(key, 1, 0.9)
+        assert list(g.keys()) == [VoxelKey(*key)]
+        assert g.log_odds(key, 1) == pytest.approx(LN_9, abs=1e-12)
+
+    @pytest.mark.parametrize("key", [(KEY_LIMIT, 0, 0), (0, -KEY_LIMIT - 1, 0),
+                                     (0, 0, KEY_LIMIT), (-KEY_LIMIT - 1, 0, 0)])
+    def test_keys_past_the_range_rejected(self, key):
+        g = LabelOccupancyGrid(0.005, 2)
+        with pytest.raises(ValueError, match="outside"):
+            g.update_voxel(key, 1, 0.9)
+        with pytest.raises(ValueError, match="outside"):
+            pack_keys(np.array([key]))
+        assert len(g) == 0
+
+    def test_code_order_is_key_order(self):
+        rng = np.random.default_rng(2)
+        keys = rng.integers(-KEY_LIMIT, KEY_LIMIT, size=(500, 3))
+        keys[:100, 0] = keys[100:200, 0]  # shared leading components
+        codes = pack_keys(keys)
+        assert [pack_key(k) for k in keys.tolist()] == codes.tolist()
+        assert np.array_equal(unpack_codes(codes), keys)
+        by_code = keys[np.argsort(codes)].tolist()
+        assert by_code == sorted(keys.tolist())
+
+
+# --- batched update against the per-voxel recursion --------------------------
+
+batch_keys = st.sets(st.tuples(*[st.integers(-3, 3)] * 3), min_size=0, max_size=30)
+unit_probs = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(batch_keys, min_size=1, max_size=6),
+       st.data(),
+       st.sampled_from([0.5, 2.0, math.inf]),
+       st.booleans())
+def test_batched_update_matches_per_voxel_oracle(batches, data, clamp, with_roi):
+    labels, resolution = 3, 0.5
+    roi = Box3((-1.0, -1.0, -1.0), (1.0, 1.5, 0.75)) if with_roi else None
+    grid = LabelOccupancyGrid(resolution, labels, clamp=clamp, roi=roi)
+    cells: dict = {}
+    discarded = 0
+    for batch in batches:
+        keys = sorted(batch)
+        probs = np.array(data.draw(st.lists(st.lists(unit_probs, min_size=labels,
+                                                     max_size=labels),
+                                            min_size=len(keys), max_size=len(keys))),
+                         dtype=float).reshape(len(keys), labels)
+        grid.update(pack_keys(np.array(keys, dtype=np.int64).reshape(-1, 3)), probs)
+        discarded += oracle_update(cells, roi, resolution, clamp, keys, probs)
+    assert grid.discarded_updates == discarded
+    assert list(grid.keys()) == sorted(cells)
+    for key, vec in grid.items():
+        assert vec.tobytes() == cells[tuple(key)].tobytes()
+
+
+def test_update_rejects_unsorted_or_duplicate_codes():
+    g = LabelOccupancyGrid(1.0, 2)
+    probs = np.full((2, 2), 0.6)
+    for keys in ([(1, 0, 0), (0, 0, 0)], [(1, 0, 0), (1, 0, 0)]):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            g.update(pack_keys(np.array(keys)), probs)
+    assert len(g) == 0
+
+
+def test_update_validates_before_writing():
+    g = LabelOccupancyGrid(1.0, 2)
+    codes = pack_keys(np.array([(0, 0, 0), (1, 0, 0)]))
+    with pytest.raises(ValueError, match="strictly in"):
+        g.update(codes, np.array([[0.6, 0.4], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="probabilities"):
+        g.update(codes, np.full((2, 3), 0.5))
+    assert len(g) == 0

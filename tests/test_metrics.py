@@ -102,6 +102,14 @@ class TestIou3d:
             sigma = box.volume * np.sqrt(p_true * (1.0 - p_true) / samples)
             assert abs(estimate - report.v_tp) <= 3.0 * sigma + 1e-12
 
+    def test_key_array_in_any_order_equals_key_set(self):
+        rng = np.random.default_rng(21)
+        box = Box3((-0.33, -0.1, 0.05), (0.41, 0.27, 0.6))
+        keys = np.unique(rng.integers(-9, 9, size=(400, 3)), axis=0)
+        from_set = iou_3d({tuple(k) for k in keys.tolist()}, 0.05, box)
+        for order in (np.arange(len(keys)), rng.permutation(len(keys))):
+            assert iou_3d(keys[order], 0.05, box) == from_set
+
 
 class TestConfusion:
     def test_perfect_prediction_is_diagonal(self):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, deproject,
                        project, register_frame, softmax_image)
+from labelgrid.grid import pack_keys
+from oracles import oracle_register
 
 E_OVER_E_PLUS_1 = 0.7310585786300049  # softmax of logits (1, 0)
 
@@ -234,3 +236,46 @@ class TestRegisterFrame:
         b = register_frame(frame, 0.05)
         assert [m.key for m in a.measurements] == [m.key for m in b.measurements]
         assert [m.key for m in a.measurements] == sorted(m.key for m in a.measurements)
+
+    def test_keys_past_the_range_rejected(self, intr100):
+        depth = np.full((200, 200), 1.0)
+        proba = np.full((200, 200, 2), 0.5)
+        # 2**20 voxels of 1 cm lie about 10.5 km out
+        far = make_frame(depth, proba, intr100, Pose(np.eye(3), [0.0, 0.0, 20_000.0]))
+        with pytest.raises(ValueError, match="outside"):
+            register_frame(far, 0.01)
+        # an roi that drops those voxels drops the error with them
+        result = register_frame(far, 0.01, roi=Box3((-1, -1, 0), (1, 1, 2)))
+        assert result.pixels_skipped_roi == 200 * 200
+        assert result.codes.shape == (0,)
+
+    def test_extreme_keys_accepted(self, intr100):
+        depth = np.zeros((200, 200))
+        depth[50, 50] = 1.0  # deprojects to (0, 0, 1)
+        proba = np.full((200, 200, 2), 0.5)
+        for z in (2 ** 20 - 1, -(2 ** 20 - 1), -(2 ** 20)):
+            frame = make_frame(depth, proba, intr100, Pose(np.eye(3), [0.5, 0.5, z - 0.5]))
+            assert [m.key for m in register_frame(frame, 1.0).measurements] == [(0, 0, z)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.01, 0.05, 0.2]),
+       st.tuples(*[st.floats(-2.0, 2.0)] * 3),
+       st.floats(0.0, 2 * math.pi),
+       st.booleans())
+def test_register_frame_matches_unique_oracle(seed, resolution, translation, angle, with_roi):
+    rng = np.random.default_rng(seed)
+    intr = CameraIntrinsics(fx=20.0, fy=22.0, cx=12.0, cy=9.0, width=24, height=18)
+    depth = rng.uniform(0.3, 3.0, size=(18, 24))
+    depth[rng.random((18, 24)) < 0.25] = 0.0
+    raw = rng.uniform(0.01, 1.0, size=(18, 24, 4))
+    c, s = math.cos(angle), math.sin(angle)
+    pose = Pose(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]), np.array(translation))
+    frame = SensorFrame(timestamp=0.0, depth=depth, pose=pose, intrinsics=intr,
+                        proba=raw / raw.sum(axis=2, keepdims=True))
+    roi = Box3((-1.0, -1.0, -1.0), (1.0, 1.0, 2.0)) if with_roi else None
+    keys, means = oracle_register(frame, resolution, roi)
+    result = register_frame(frame, resolution, roi)
+    assert np.array_equal(result.codes, pack_keys(keys))
+    assert result.means.tobytes() == means.tobytes()
