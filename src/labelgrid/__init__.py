@@ -10,8 +10,8 @@ from .registration import (CameraIntrinsics, RegistrationResult, SensorFrame,
                            VoxelMeasurement, deproject, project,
                            register_frame, softmax_image)
 from .simulator import (NoiseModel, Scene, Trajectory, Waypoint,
-                        expand_trajectory, render_depth, render_labels,
-                        render_proba, render_scene, simulate, simulate_frames)
+                        expand_trajectory, render_proba, render_scene,
+                        simulate, simulate_frames)
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,7 @@ __all__ = [
     "camera_velocity", "confusion", "deproject", "expand_trajectory",
     "fuse_stream", "iou_3d", "logit", "look_at", "mean_iu",
     "pixelwise_accuracy", "probability", "project", "register_frame",
-    "render_depth", "render_labels", "render_proba", "render_scene",
+    "render_proba", "render_scene",
     "rotation_angle", "simulate", "simulate_frames", "softmax_image",
     "voxel_center", "world_to_key",
 ]

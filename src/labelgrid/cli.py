@@ -18,33 +18,6 @@ from .metrics import iou_3d
 from .simulator import NoiseModel, load_scene, load_trajectory, simulate
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Fusion configuration snapshot recorded into emitted stats."""
-
-    resolution: float
-    num_labels: int
-    clamp: float
-    p_min: float
-    linear_eps: float
-    angular_eps: float
-    settle_frames: int
-    roi: tuple | None
-
-    @classmethod
-    def from_args(cls, args, roi: Box3 | None) -> "RunConfig":
-        return cls(resolution=args.resolution, num_labels=args.num_labels,
-                   clamp=args.clamp, p_min=args.p_min,
-                   linear_eps=args.linear_eps, angular_eps=args.angular_eps,
-                   settle_frames=args.settle_frames,
-                   roi=None if roi is None else (roi.min + roi.max))
-
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["roi"] = None if self.roi is None else list(self.roi)
-        return d
-
-
 def _parse_roi(text: str) -> Box3:
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 6:
@@ -97,9 +70,11 @@ def cmd_fuse(args) -> int:
 
     stats = fuse_stream(grid, frames, gate, p_min=args.p_min, on_frame=on_frame)
     fileio.save_grid(args.out, grid)
-    config = RunConfig.from_args(args, roi)
+    config = {"resolution": grid.resolution, "num_labels": grid.num_labels,
+              "clamp": grid.clamp, "p_min": args.p_min, **dataclasses.asdict(gate),
+              "roi": None if roi is None else list(roi.min + roi.max)}
     print(json.dumps({
-        "config": config.as_dict(),
+        "config": config,
         "stats": stats.as_dict(),
         "cells": len(grid),
         "updates_discarded": grid.discarded_updates,
@@ -108,7 +83,7 @@ def cmd_fuse(args) -> int:
 
 
 def _evaluate(grid: LabelOccupancyGrid, label: int, box: Box3) -> dict:
-    segment = grid.segment_keys(label)
+    segment = grid.segment(label)
     report = iou_3d(segment, grid.resolution, box)
     centroid = grid.centroid(label, segment)
     return {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .geometry import Box3, Pose
 from .grid import LabelOccupancyGrid, pack_keys, unpack_codes
-from .registration import CameraIntrinsics, SensorFrame
+from .registration import CameraIntrinsics, SensorFrame, softmax_image
 
 LGRID_MAGIC = b"LGRID1\n"
 PROBIMG_MAGIC = b"PROBIMG1"
@@ -208,17 +208,17 @@ def read_manifest(path) -> list[dict]:
 
 
 def load_frame(record: dict, base_dir) -> SensorFrame:
-    """Materialize one manifest record into a SensorFrame."""
+    """Materialize one manifest record into a SensorFrame, softmaxing a ``logits_file``."""
     base = Path(base_dir)
     pose, intr, timestamp = parse_pose_record(record["pose"])
     depth = read_depth_pgm(base / record["depth_file"])
     if "proba_file" in record:
-        return SensorFrame(timestamp=timestamp, depth=depth, pose=pose,
-                           intrinsics=intr, proba=read_probimg(base / record["proba_file"]))
-    if "logits_file" in record:
-        return SensorFrame(timestamp=timestamp, depth=depth, pose=pose,
-                           intrinsics=intr, logits=read_probimg(base / record["logits_file"]))
-    raise ValueError("manifest record needs a proba_file or logits_file")
+        proba = read_probimg(base / record["proba_file"])
+    elif "logits_file" in record:
+        proba = softmax_image(read_probimg(base / record["logits_file"]))
+    else:
+        raise ValueError("manifest record needs a proba_file or logits_file")
+    return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr, proba=proba)
 
 
 def box_from_json(obj: dict) -> Box3:

@@ -269,13 +269,6 @@ class LabelOccupancyGrid:
         value = float(self._values[row, label]) + delta
         self._values[row, label] = min(max(value, -self.clamp), self.clamp)
 
-    def update_voxel_probs(self, key, probs) -> None:
-        """Vector form of :meth:`update_voxel` covering every label at once."""
-        p = np.asarray(probs, dtype=float)
-        if p.shape != (self._num_labels,):
-            raise ValueError(f"expected {self._num_labels} probabilities, got shape {p.shape}")
-        self.update(np.array([pack_key(key)], dtype=np.int64), p[None, :])
-
     def log_odds(self, key, label: int) -> float:
         row = self._find(pack_key(key))
         label = self._check_label(label)
@@ -295,21 +288,17 @@ class LabelOccupancyGrid:
         """Log-odds of one label for every cell, in code order (read-only view)."""
         return self.log_odds_matrix[:, self._check_label(label)]
 
-    def segment_keys(self, label: int) -> np.ndarray:
+    def segment(self, label: int) -> np.ndarray:
         """(K, 3) int64 keys, in ascending key order, whose probability for
         ``label`` strictly exceeds 0.5."""
         return unpack_codes(self._codes[self.label_log_odds(label) > 0.0])
 
-    def segment(self, label: int) -> set[VoxelKey]:
-        """Keys whose probability for ``label`` strictly exceeds 0.5."""
-        return {VoxelKey(*k) for k in self.segment_keys(label).tolist()}
-
     def centroid(self, label: int, segment: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
         """Unweighted mean of segment voxel centers, or None if empty.
 
-        ``segment`` may pass ``segment_keys(label)`` when the caller has it.
+        ``segment`` may pass ``segment(label)`` when the caller has it.
         """
-        keys = self.segment_keys(label) if segment is None else segment
+        keys = self.segment(label) if segment is None else segment
         if len(keys) == 0:
             return None
         return voxel_center(keys, self._resolution).mean(axis=0)

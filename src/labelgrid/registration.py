@@ -1,17 +1,16 @@
 """Convert labeled depth frames into per-voxel measurement probabilities.
 
 A sensor frame carries a depth image, a per-pixel class probability image
-(or raw scores to be softmaxed) and the camera pose. Registration
-deprojects every valid-depth pixel through the pinhole model, transforms
-it to world coordinates, bins it into a voxel, and averages the
-probability vectors of pixels that land in the same voxel so each voxel
-receives exactly one measurement per frame.
+and the camera pose. Registration deprojects every valid-depth pixel
+through the pinhole model, transforms it to world coordinates, bins it
+into a voxel, and averages the probability vectors of pixels that land in
+the same voxel so each voxel receives exactly one measurement per frame.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -80,57 +79,40 @@ def project(point_cam, intrinsics: CameraIntrinsics) -> tuple[float, float, floa
 
 @dataclass(eq=False)
 class SensorFrame:
-    """One measurement: depth + class probabilities (or logits) + pose.
+    """One measurement: depth + per-pixel class probabilities + pose.
 
-    Exactly one of ``proba`` and ``logits`` must be provided. Probability
-    images must be per-pixel simplexes: entries in [0, 1], channel sums
-    within 1e-5 of 1.
+    ``proba`` must be a per-pixel simplex image: entries in [0, 1], channel
+    sums within 1e-5 of 1. Raw class scores are turned into probabilities
+    with :func:`softmax_image` before a frame is built.
     """
 
     timestamp: float
     depth: np.ndarray
     pose: Pose
     intrinsics: CameraIntrinsics
-    proba: Optional[np.ndarray] = None
-    logits: Optional[np.ndarray] = None
-    _softmax_cache: Optional[np.ndarray] = field(default=None, repr=False, init=False)
+    proba: np.ndarray
 
     def __post_init__(self) -> None:
-        if (self.proba is None) == (self.logits is None):
-            raise ValueError("provide exactly one of proba and logits")
         self.depth = np.asarray(self.depth, dtype=float)
         shape = (self.intrinsics.height, self.intrinsics.width)
         if self.depth.shape != shape:
             raise ValueError(f"depth shape {self.depth.shape} does not match intrinsics {shape}")
-        image = self.proba if self.proba is not None else self.logits
-        image = np.asarray(image, dtype=float)
+        image = np.asarray(self.proba, dtype=float)
         if image.ndim != 3 or image.shape[:2] != shape:
             raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")
         if image.shape[2] < 2:
             raise ValueError("channel image needs at least two classes")
-        if self.proba is not None:
-            if image.min() < 0.0 or image.max() > 1.0:
-                raise ValueError("probability image entries must lie in [0, 1]")
-            sums = image.sum(axis=2)
-            worst = float(np.abs(sums - 1.0).max())
-            if worst > 1e-5:
-                raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
-            self.proba = image
-        else:
-            self.logits = image
+        if image.min() < 0.0 or image.max() > 1.0:
+            raise ValueError("probability image entries must lie in [0, 1]")
+        sums = image.sum(axis=2)
+        worst = float(np.abs(sums - 1.0).max())
+        if worst > 1e-5:
+            raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
+        self.proba = image
 
     @property
     def num_labels(self) -> int:
-        image = self.proba if self.proba is not None else self.logits
-        return image.shape[2]
-
-    def probabilities(self) -> np.ndarray:
-        """Probability image; computed from logits on first use if needed."""
-        if self.proba is not None:
-            return self.proba
-        if self._softmax_cache is None:
-            self._softmax_cache = softmax_image(self.logits)
-        return self._softmax_cache
+        return self.proba.shape[2]
 
 
 class VoxelMeasurement(NamedTuple):
@@ -207,7 +189,7 @@ def register_frame(frame: SensorFrame, resolution: float,
     # stable, so same-voxel pixels keep their row-major order in the sums
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
-    probs = frame.probabilities()[vv[order], uu[order]]
+    probs = frame.proba[vv[order], uu[order]]
     # np.add.at adds the rows one at a time, in order, so each sum is the
     # plain left-to-right sum; np.add.reduceat would regroup runs of 8 or
     # more rows and move the mean by an ulp

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.spatial.transform import Rotation, Slerp
 
 from . import fileio
 from .geometry import Box3, Pose, look_at
@@ -124,6 +123,8 @@ def expand_trajectory(trajectory: Trajectory) -> list[ScheduledFrame]:
         for j in range(wp.hold_frames):
             schedule.append(ScheduledFrame(wp.pose, wp.timestamp + j * trajectory.frame_dt, False))
         if i + 1 < len(wps) and trajectory.transition_frames > 0:
+            # imported here: scipy is slow to import, and fuse, eval and export never need it
+            from scipy.spatial.transform import Rotation, Slerp
             nxt = wps[i + 1]
             start_t = wp.timestamp + (wp.hold_frames - 1) * trajectory.frame_dt
             slerp = Slerp([0.0, 1.0],
@@ -195,14 +196,6 @@ def render_scene(scene: Scene, pose: Pose, intrinsics: CameraIntrinsics
     return depth, labels
 
 
-def render_depth(scene: Scene, pose: Pose, intrinsics: CameraIntrinsics) -> np.ndarray:
-    return render_scene(scene, pose, intrinsics)[0]
-
-
-def render_labels(scene: Scene, pose: Pose, intrinsics: CameraIntrinsics) -> np.ndarray:
-    return render_scene(scene, pose, intrinsics)[1]
-
-
 def frame_noise_key(timestamp: float) -> int:
     """Stable per-frame noise stream id: the timestamp's float64 bit pattern.
 
@@ -249,6 +242,22 @@ def render_proba(true_labels, noise: NoiseModel, num_labels: int,
 
 # --- frame emission ---------------------------------------------------------
 
+def _render_frames(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntrinsics,
+                   noise: NoiseModel, num_labels: int):
+    """Check the label count now, then return a generator of
+    ``(schedule, depth, proba)`` for every scheduled frame."""
+    if num_labels <= scene.max_label:
+        raise ValueError(f"num_labels={num_labels} too small for scene labels "
+                         f"up to {scene.max_label}")
+
+    def frames():
+        for sched in expand_trajectory(trajectory):
+            depth, labels = render_scene(scene, sched.pose, intrinsics)
+            yield sched, depth, render_proba(labels, noise, num_labels,
+                                             frame_key=frame_noise_key(sched.timestamp))
+    return frames()
+
+
 def simulate_frames(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntrinsics,
                     noise: NoiseModel, num_labels: int) -> list[SensorFrame]:
     """Render the trajectory into in-memory sensor frames.
@@ -257,19 +266,12 @@ def simulate_frames(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntr
     formats apply (millimeter depth, float32 probabilities), so a loaded
     frame stream compares equal to the in-memory one.
     """
-    if num_labels <= scene.max_label:
-        raise ValueError(f"num_labels={num_labels} too small for scene labels "
-                         f"up to {scene.max_label}")
-    frames = []
-    for sched in expand_trajectory(trajectory):
-        depth, labels = render_scene(scene, sched.pose, intrinsics)
-        proba = render_proba(labels, noise, num_labels,
-                             frame_key=frame_noise_key(sched.timestamp))
-        depth_q = fileio.quantize_depth_mm(depth).astype(float) / 1000.0
-        proba_q = proba.astype(np.float32).astype(float)
-        frames.append(SensorFrame(timestamp=sched.timestamp, depth=depth_q,
-                                  pose=sched.pose, intrinsics=intrinsics, proba=proba_q))
-    return frames
+    return [SensorFrame(timestamp=sched.timestamp,
+                        depth=fileio.quantize_depth_mm(depth).astype(float) / 1000.0,
+                        pose=sched.pose, intrinsics=intrinsics,
+                        proba=proba.astype(np.float32).astype(float))
+            for sched, depth, proba in _render_frames(scene, trajectory, intrinsics,
+                                                      noise, num_labels)]
 
 
 def simulate(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntrinsics,
@@ -279,16 +281,11 @@ def simulate(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntrinsics,
     Returns the manifest path. Output is byte-deterministic for identical
     (scene, trajectory, intrinsics, noise.seed).
     """
-    if num_labels <= scene.max_label:
-        raise ValueError(f"num_labels={num_labels} too small for scene labels "
-                         f"up to {scene.max_label}")
+    frames = _render_frames(scene, trajectory, intrinsics, noise, num_labels)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
-    for index, sched in enumerate(expand_trajectory(trajectory)):
-        depth, labels = render_scene(scene, sched.pose, intrinsics)
-        proba = render_proba(labels, noise, num_labels,
-                             frame_key=frame_noise_key(sched.timestamp))
+    for index, (sched, depth, proba) in enumerate(frames):
         depth_name = f"depth_{index:04d}.pgm"
         proba_name = f"proba_{index:04d}.probimg"
         fileio.write_depth_pgm(out / depth_name, depth)

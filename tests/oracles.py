@@ -16,7 +16,7 @@ def oracle_register(frame, resolution, roi):
     d = depth[vv, uu]
     cam = np.stack([(uu - intr.cx) * d / intr.fx, (vv - intr.cy) * d / intr.fy, d], axis=1)
     keys = np.floor(frame.pose.transform(cam) / resolution).astype(np.int64)
-    probs = frame.probabilities()[vv, uu]
+    probs = frame.proba[vv, uu]
     if roi is not None:
         keep = roi.contains((keys + 0.5) * resolution)
         keys, probs = keys[keep], probs[keep]

@@ -1,10 +1,14 @@
 """CLI workflows: simulate | fuse | eval | export round trips."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import labelgrid
 from conftest import TARGET_LABEL, write_cli_inputs
 from labelgrid.cli import main
 from labelgrid.fileio import load_grid, read_manifest, save_grid, write_manifest
@@ -72,6 +76,22 @@ class TestFuse:
         assert len(grid) == 0
         stats = json.loads(out)
         assert stats["stats"]["frames_total"] == 0
+
+    @pytest.mark.parametrize("roi", [None, [0.0, 0.0, 0.0, 0.3, 0.3, 0.4]])
+    def test_config_block_lists_every_setting(self, tmp_path, capsys, roi):
+        manifest = tmp_path / "manifest.json"
+        write_manifest(manifest, [])
+        argv = ["fuse", manifest, "--out", tmp_path / "g.lgrid", "--resolution", 0.01,
+                "--num-labels", 7, "--clamp", 2.5, "--p-min", 0.01, "--linear-eps", 0.002,
+                "--angular-eps", 0.003, "--settle-frames", 3]
+        if roi is not None:
+            argv += ["--roi", ",".join(map(str, roi))]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert list(json.loads(out)["config"].items()) == [
+            ("resolution", 0.01), ("num_labels", 7), ("clamp", 2.5), ("p_min", 0.01),
+            ("linear_eps", 0.002), ("angular_eps", 0.003), ("settle_frames", 3),
+            ("roi", roi)]
 
     def test_fuse_records_config_and_stats(self, sim_run, tmp_path, capsys):
         snapshot = tmp_path / "grid.lgrid"
@@ -284,3 +304,14 @@ class TestExport:
                 expected.append(f"{float(x)!r} {float(y)!r} {float(z)!r} {p!r}")
         assert expected
         assert ply.read_text().splitlines()[8:] == expected
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is needed only to interpolate moving frames, so fuse, eval and
+    export must not pay for importing it."""
+    src = str(Path(labelgrid.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import labelgrid.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.strip() == "[]"

@@ -8,11 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from labelgrid import Box3, LabelOccupancyGrid, simulate
+from labelgrid import (Box3, CameraIntrinsics, LabelOccupancyGrid, Pose,
+                       simulate, softmax_image)
 from labelgrid.fileio import (grid_from_bytes, grid_to_bytes, load_frame,
-                              load_grid, read_depth_pgm, read_manifest,
-                              read_probimg, save_grid, write_depth_pgm,
-                              write_ply, write_probimg)
+                              load_grid, pose_record, read_depth_pgm,
+                              read_manifest, read_probimg, save_grid,
+                              write_depth_pgm, write_ply, write_probimg)
 from labelgrid.simulator import simulate_frames
 
 
@@ -250,6 +251,35 @@ class TestManifestAndFrames:
                 digest.update(path.read_bytes())
             digests.append(digest.hexdigest())
         assert digests[0] == digests[1]
+
+    @staticmethod
+    def logits_record(tmp_path, scores) -> dict:
+        """A one-frame record whose class scores are in a logits_file."""
+        h, w, _ = scores.shape
+        intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=w / 2, cy=h / 2, width=w, height=h)
+        write_depth_pgm(tmp_path / "depth.pgm", np.ones((h, w)))
+        write_probimg(tmp_path / "scores.probimg", scores)
+        return {"depth_file": "depth.pgm", "logits_file": "scores.probimg",
+                "timestamp": 0.0, "pose": pose_record(Pose.identity(), intr, 0.0)}
+
+    def test_logits_file_softmaxed_at_load(self, tmp_path):
+        scores = np.random.default_rng(5).normal(scale=4.0, size=(3, 4, 5))
+        frame = load_frame(self.logits_record(tmp_path, scores), tmp_path)
+        expected = softmax_image(read_probimg(tmp_path / "scores.probimg"))
+        assert np.array_equal(frame.proba, expected)
+
+    def test_non_finite_logit_rejected_at_load(self, tmp_path):
+        scores = np.zeros((3, 4, 5))
+        scores[1, 2, 3] = np.inf
+        record = self.logits_record(tmp_path, scores)
+        with pytest.raises(ValueError, match=r"non-finite score at pixel \(row=1, col=2"):
+            load_frame(record, tmp_path)
+
+    def test_record_without_image_rejected(self, tmp_path):
+        record = self.logits_record(tmp_path, np.zeros((3, 4, 5)))
+        del record["logits_file"]
+        with pytest.raises(ValueError, match="proba_file or logits_file"):
+            load_frame(record, tmp_path)
 
     def test_malformed_manifest_reports_line(self, tmp_path):
         path = tmp_path / "manifest.json"

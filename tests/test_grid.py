@@ -139,7 +139,7 @@ class TestUpdateVoxel:
         for _ in range(50):
             key = tuple(rng.integers(0, 3, size=3))
             probs = rng.uniform(0.05, 0.95, size=5)
-            a.update_voxel_probs(key, probs)
+            a.update(np.array([pack_key(key)]), probs[None, :])
             for label in range(5):
                 b.update_voxel(key, label, probs[label])
         for key, vec in a.items():
@@ -163,13 +163,14 @@ class TestVoxelProbability:
 class TestSegment:
     def test_empty_grid(self):
         g = LabelOccupancyGrid(0.01, 4)
-        assert g.segment(1) == set()
+        segment = g.segment(1)
+        assert segment.shape == (0, 3) and segment.dtype == np.int64
 
     def test_single_update(self):
         g = LabelOccupancyGrid(0.01, 4)
         g.update_voxel((2, 3, 4), 3, 0.9)
-        assert g.segment(3) == {VoxelKey(2, 3, 4)}
-        assert g.segment(2) == set()
+        assert g.segment(3).tolist() == [[2, 3, 4]]
+        assert g.segment(2).shape == (0, 3)
 
     def test_exact_zero_log_odds_excluded(self):
         # 0.75/0.25 logits cancel bitwise, leaving the unknown prior
@@ -178,7 +179,7 @@ class TestSegment:
         g.update_voxel((0, 0, 0), 1, 0.75)
         g.update_voxel((0, 0, 0), 1, 0.25)
         assert g.log_odds((0, 0, 0), 1) == 0.0
-        assert g.segment(1) == set()
+        assert g.segment(1).shape == (0, 3)
 
     def test_segment_matches_positive_log_odds_exactly(self):
         rng = np.random.default_rng(3)
@@ -188,8 +189,8 @@ class TestSegment:
                            int(rng.integers(0, 3)),
                            float(rng.uniform(0.1, 0.9)))
         for label in range(3):
-            expected = {k for k, vec in g.items() if vec[label] > 0.0}
-            assert g.segment(label) == expected
+            expected = [list(k) for k, vec in g.items() if vec[label] > 0.0]
+            assert g.segment(label).tolist() == expected
 
 
 class TestCentroid:

@@ -105,12 +105,6 @@ def make_frame(depth, proba, intr, pose=None, timestamp=0.0):
 
 
 class TestSensorFrameValidation:
-    def test_requires_exactly_one_image(self, intr100):
-        depth = np.ones((200, 200))
-        with pytest.raises(ValueError):
-            SensorFrame(timestamp=0.0, depth=depth, pose=Pose.identity(),
-                        intrinsics=intr100)
-
     def test_rejects_non_simplex(self, intr100):
         depth = np.ones((200, 200))
         proba = np.full((200, 200, 2), 0.6)
@@ -120,13 +114,6 @@ class TestSensorFrameValidation:
     def test_rejects_shape_mismatch(self, intr100):
         with pytest.raises(ValueError):
             make_frame(np.ones((100, 200)), np.full((200, 200, 2), 0.5), intr100)
-
-    def test_logits_softmaxed_on_demand(self, intr100):
-        depth = np.ones((200, 200))
-        logits = np.zeros((200, 200, 4))
-        frame = SensorFrame(timestamp=0.0, depth=depth, pose=Pose.identity(),
-                            intrinsics=intr100, logits=logits)
-        assert np.allclose(frame.probabilities(), 0.25)
 
 
 class TestRegisterFrame:

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, NoiseModel, Pose, Scene,
                        Trajectory, Waypoint, camera_velocity,
-                       expand_trajectory, look_at, render_depth,
-                       render_labels, render_proba, render_scene,
-                       simulate_frames)
+                       expand_trajectory, look_at, render_proba,
+                       render_scene, simulate, simulate_frames)
 from labelgrid.simulator import frame_noise_key
 
 WORLD = Box3((-10, -10, -10), (10, 10, 10))
@@ -42,9 +41,8 @@ def scalar_slab(origin, direction, box):
 
 class TestRenderScene:
     def test_empty_scene_renders_zero_depth(self):
-        depth = render_depth(scene_of([]), Pose.identity(), INTR32)
+        depth, labels = render_scene(scene_of([]), Pose.identity(), INTR32)
         assert np.all(depth == 0.0)
-        labels = render_labels(scene_of([]), Pose.identity(), INTR32)
         assert np.all(labels == 0)
 
     def test_front_face_on_axis(self):
@@ -133,7 +131,7 @@ class TestRenderScene:
         blocker = Box3((-2.0, -2.0, 1.0), (2.0, 2.0, 1.2))
         hidden = Box3((-0.3, -0.3, 2.0), (0.3, 0.3, 2.5))
         scene = scene_of([(1, hidden)], occluders=[blocker])
-        labels = render_labels(scene, Pose.identity(), INTR32)
+        _, labels = render_scene(scene, Pose.identity(), INTR32)
         assert np.count_nonzero(labels == 1) == 0
 
     def test_camera_inside_box_sees_exit_face(self):
@@ -260,3 +258,12 @@ class TestSimulateFrames:
         from conftest import make_trajectory
         with pytest.raises(ValueError):
             simulate_frames(bin_scene, make_trajectory(), intrinsics, noise_model, 1)
+
+    def test_simulate_checks_labels_before_creating_out(self, bin_scene, intrinsics,
+                                                         noise_model, tmp_path):
+        from conftest import make_trajectory
+        out = tmp_path / "stream"
+        with pytest.raises(ValueError, match="num_labels"):
+            simulate(bin_scene, make_trajectory(), intrinsics, noise_model, out,
+                     num_labels=bin_scene.max_label)
+        assert not out.exists()
