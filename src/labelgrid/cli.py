@@ -53,11 +53,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    manifest_path = Path(args.manifest)
-    records = fileio.read_manifest(manifest_path)
+    # every record is checked here; images are read only for fused frames
+    records = fileio.read_frame_records(args.manifest)
     roi = _parse_roi(args.roi) if args.roi else None
     grid = LabelOccupancyGrid(args.resolution, args.num_labels, clamp=args.clamp, roi=roi)
-    frames = [fileio.load_frame(r, manifest_path.parent) for r in records]
     gate = GateConfig(args.linear_eps, args.angular_eps, args.settle_frames)
 
     on_frame = None
@@ -65,10 +64,10 @@ def cmd_fuse(args) -> int:
         snap_dir = Path(args.per_frame_snapshots)
         snap_dir.mkdir(parents=True, exist_ok=True)
 
-        def on_frame(index, frame, fused):
+        def on_frame(index, item, fused):
             fileio.save_grid(snap_dir / f"frame_{index:04d}.lgrid", grid)
 
-    stats = fuse_stream(grid, frames, gate, p_min=args.p_min, on_frame=on_frame)
+    stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)
     fileio.save_grid(args.out, grid)
     config = {"resolution": grid.resolution, "num_labels": grid.num_labels,
               "clamp": grid.clamp, "p_min": args.p_min, **dataclasses.asdict(gate),

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -93,11 +94,11 @@ def read_probimg(path) -> np.ndarray:
     if len(fields) != 4 or fields[0] != PROBIMG_MAGIC:
         raise ValueError(f"{path}: malformed PROBIMG1 header {raw[:newline]!r}")
     h, w, c = (int(f) for f in fields[1:])
-    data = raw[newline + 1:]
-    expected = h * w * c * 4
-    if len(data) != expected:
-        raise ValueError(f"{path}: payload has {len(data)} bytes, expected {expected}")
-    return np.frombuffer(data, dtype="<f4").reshape(h, w, c).astype(float)
+    size, expected = len(raw) - newline - 1, h * w * c * 4
+    if size != expected:
+        raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")
+    # a float32 view of the file bytes: no copy, no widening
+    return np.frombuffer(raw, dtype="<f4", count=h * w * c, offset=newline + 1).reshape(h, w, c)
 
 
 # --- grid snapshots (LGRID1) ---------------------------------------------
@@ -187,13 +188,50 @@ def pose_record(pose: Pose, intrinsics: CameraIntrinsics, timestamp: float) -> d
     }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _field(obj: dict, name: str):
+    if name not in obj:
+        raise ValueError(f"missing field {name!r}")
+    return obj[name]
+
+
+def _number(obj: dict, name: str) -> float:
+    value = _field(obj, name)
+    if not _is_number(value):
+        raise ValueError(f"field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(obj: dict, name: str) -> int:
+    value = _number(obj, name)
+    if not value.is_integer():
+        raise ValueError(f"field {name!r} must be an integer, got {obj[name]!r}")
+    return int(value)
+
+
+def _numbers(obj: dict, name: str, count: int) -> np.ndarray:
+    value = _field(obj, name)
+    if not (isinstance(value, list) and len(value) == count and all(map(_is_number, value))):
+        raise ValueError(f"field {name!r} must be a list of {count} numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def parse_pose_record(obj: dict) -> tuple[Pose, CameraIntrinsics, float]:
-    intr = CameraIntrinsics(fx=float(obj["fx"]), fy=float(obj["fy"]),
-                            cx=float(obj["cx"]), cy=float(obj["cy"]),
-                            width=int(obj["width"]), height=int(obj["height"]))
-    rotation = np.asarray(obj["rotation"], dtype=float).reshape(3, 3)
-    pose = Pose(rotation, np.asarray(obj["translation"], dtype=float))
-    return pose, intr, float(obj["timestamp"])
+    """Pose, intrinsics and timestamp of a :func:`pose_record` object.
+
+    A missing field or one of the wrong JSON type raises ``ValueError``
+    naming the field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"must be a JSON object, got {obj!r}")
+    intr = CameraIntrinsics(fx=_number(obj, "fx"), fy=_number(obj, "fy"),
+                            cx=_number(obj, "cx"), cy=_number(obj, "cy"),
+                            width=_integer(obj, "width"), height=_integer(obj, "height"))
+    pose = Pose(_numbers(obj, "rotation", 9).reshape(3, 3), _numbers(obj, "translation", 3))
+    return pose, intr, _number(obj, "timestamp")
 
 
 def write_manifest(path, records: list[dict]) -> None:
@@ -208,7 +246,11 @@ def read_manifest(path) -> list[dict]:
 
 
 def load_frame(record: dict, base_dir) -> SensorFrame:
-    """Materialize one manifest record into a SensorFrame, softmaxing a ``logits_file``."""
+    """Materialize one manifest record into a SensorFrame, softmaxing a ``logits_file``.
+
+    This is the one place frame images are decoded. A ``proba_file`` stays
+    float32 in the frame.
+    """
     base = Path(base_dir)
     pose, intr, timestamp = parse_pose_record(record["pose"])
     depth = read_depth_pgm(base / record["depth_file"])
@@ -219,6 +261,48 @@ def load_frame(record: dict, base_dir) -> SensorFrame:
     else:
         raise ValueError("manifest record needs a proba_file or logits_file")
     return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr, proba=proba)
+
+
+@dataclass(frozen=True, eq=False)
+class FrameRecord:
+    """One manifest record with its pose parsed and its images not yet read.
+
+    :func:`~labelgrid.fusion.fuse_stream` gates on ``timestamp`` and
+    ``pose`` and calls :meth:`load` only for the frames it fuses.
+    """
+
+    record: dict
+    base_dir: Path
+    timestamp: float
+    pose: Pose
+    intrinsics: CameraIntrinsics
+
+    @classmethod
+    def parse(cls, index: int, record, manifest_path) -> "FrameRecord":
+        """Check record ``index`` of a manifest without opening its image files."""
+        where = f"{manifest_path}: record {index}"
+        if not isinstance(record, dict):
+            raise ValueError(f"{where} must be a JSON object, got {record!r}")
+        try:
+            pose, intr, timestamp = parse_pose_record(record.get("pose"))
+        except ValueError as exc:
+            raise ValueError(f"{where}: pose: {exc}") from None
+        if "proba_file" not in record and "logits_file" not in record:
+            raise ValueError(f"{where}: needs a proba_file or logits_file")
+        image = "proba_file" if "proba_file" in record else "logits_file"
+        for name in ("depth_file", image):
+            if not isinstance(record.get(name), str):
+                raise ValueError(f"{where}: field {name!r} must be a file name, "
+                                 f"got {record.get(name)!r}")
+        return cls(record, Path(manifest_path).parent, timestamp, pose, intr)
+
+    def load(self) -> SensorFrame:
+        return load_frame(self.record, self.base_dir)
+
+
+def read_frame_records(path) -> list[FrameRecord]:
+    """Every record of a manifest, parsed and checked; no image is read."""
+    return [FrameRecord.parse(i, r, path) for i, r in enumerate(read_manifest(path))]
 
 
 def box_from_json(obj: dict) -> Box3:

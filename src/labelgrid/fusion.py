@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Protocol
 
 import numpy as np
 
@@ -43,6 +43,19 @@ class GateConfig:
         return cls(math.inf, math.inf, 1)
 
 
+class StreamItem(Protocol):
+    """A frame of a stream: the pose is at hand, the images load on demand.
+
+    :class:`~labelgrid.registration.SensorFrame` loads to itself, and
+    :class:`~labelgrid.fileio.FrameRecord` decodes its files.
+    """
+
+    timestamp: float
+    pose: Pose
+
+    def load(self) -> SensorFrame: ...
+
+
 @dataclass
 class FusionStats:
     frames_total: int = 0
@@ -67,39 +80,43 @@ def camera_velocity(prev_pose: Pose, prev_time: float,
 
 
 def fuse_stream(grid: LabelOccupancyGrid,
-                frames: Iterable[SensorFrame],
+                frames: Iterable[StreamItem],
                 gate: GateConfig = GateConfig(),
                 p_min: float = DEFAULT_P_MIN,
-                on_frame: Optional[Callable[[int, SensorFrame, bool], None]] = None) -> FusionStats:
+                on_frame: Optional[Callable[[int, StreamItem, bool], None]] = None) -> FusionStats:
     """Fuse a timestamp-ordered frame stream into ``grid``.
 
-    Measurement probabilities are clamped to [p_min, 1 - p_min] before the
-    log-odds update so saturated classifier outputs stay finite. The
-    optional ``on_frame(index, frame, fused)`` callback runs after each
-    frame is processed, e.g. to snapshot the grid per frame.
+    The gate reads only each item's ``timestamp`` and ``pose``; ``load()``
+    is called only for the frames it passes, and the loaded frame is
+    dropped once registered, so a stream of lazy items holds at most one
+    decoded frame. Measurement probabilities are clamped to
+    [p_min, 1 - p_min] before the log-odds update so saturated classifier
+    outputs stay finite. The optional ``on_frame(index, item, fused)``
+    callback runs after each item is processed, with the item as the
+    stream gave it, e.g. to snapshot the grid per frame.
     """
     if not 0.0 < p_min < 0.5:
         raise ValueError(f"p_min must lie in (0, 0.5), got {p_min}")
     stats = FusionStats()
-    prev: Optional[SensorFrame] = None
+    prev: Optional[StreamItem] = None
     stationary_run = 0
-    for index, frame in enumerate(frames):
-        if prev is not None and frame.timestamp <= prev.timestamp:
+    for index, item in enumerate(frames):
+        if prev is not None and item.timestamp <= prev.timestamp:
             raise ValueError(
-                f"frame {index} timestamp {frame.timestamp} is not after "
+                f"frame {index} timestamp {item.timestamp} is not after "
                 f"frame {index - 1} ({prev.timestamp})")
         if prev is None:
             stationary = True
         else:
             linear, angular = camera_velocity(prev.pose, prev.timestamp,
-                                              frame.pose, frame.timestamp)
+                                              item.pose, item.timestamp)
             stationary = linear <= gate.linear_eps and angular <= gate.angular_eps
         stationary_run = stationary_run + 1 if stationary else 0
 
         stats.frames_total += 1
         fused = stationary and stationary_run >= gate.settle_frames
         if fused:
-            result = register_frame(frame, grid.resolution, grid.roi)
+            result = register_frame(item.load(), grid.resolution, grid.roi)
             stats.pixels_skipped_depth += result.pixels_skipped_depth
             stats.pixels_skipped_roi += result.pixels_skipped_roi
             grid.update(result.codes, np.clip(result.means, p_min, 1.0 - p_min))
@@ -107,6 +124,6 @@ def fuse_stream(grid: LabelOccupancyGrid,
         else:
             stats.frames_gated += 1
         if on_frame is not None:
-            on_frame(index, frame, fused)
-        prev = frame
+            on_frame(index, item, fused)
+        prev = item
     return stats

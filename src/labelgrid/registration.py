@@ -82,8 +82,9 @@ class SensorFrame:
     """One measurement: depth + per-pixel class probabilities + pose.
 
     ``proba`` must be a per-pixel simplex image: entries in [0, 1], channel
-    sums within 1e-5 of 1. Raw class scores are turned into probabilities
-    with :func:`softmax_image` before a frame is built.
+    sums within 1e-5 of 1. A float32 image (as PROBIMG1 decodes) stays
+    float32, any other is widened to float64. Raw class scores are turned
+    into probabilities with :func:`softmax_image` before a frame is built.
     """
 
     timestamp: float
@@ -97,14 +98,16 @@ class SensorFrame:
         shape = (self.intrinsics.height, self.intrinsics.width)
         if self.depth.shape != shape:
             raise ValueError(f"depth shape {self.depth.shape} does not match intrinsics {shape}")
-        image = np.asarray(self.proba, dtype=float)
+        image = np.asarray(self.proba)
+        if image.dtype != np.float32:
+            image = image.astype(float, copy=False)
         if image.ndim != 3 or image.shape[:2] != shape:
             raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")
         if image.shape[2] < 2:
             raise ValueError("channel image needs at least two classes")
         if image.min() < 0.0 or image.max() > 1.0:
             raise ValueError("probability image entries must lie in [0, 1]")
-        sums = image.sum(axis=2)
+        sums = image.sum(axis=2, dtype=np.float64)
         worst = float(np.abs(sums - 1.0).max())
         if worst > 1e-5:
             raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
@@ -113,6 +116,10 @@ class SensorFrame:
     @property
     def num_labels(self) -> int:
         return self.proba.shape[2]
+
+    def load(self) -> "SensorFrame":
+        """The frame itself, so a list of frames is a stream for ``fuse_stream``."""
+        return self
 
 
 class VoxelMeasurement(NamedTuple):
@@ -189,7 +196,9 @@ def register_frame(frame: SensorFrame, resolution: float,
     # stable, so same-voxel pixels keep their row-major order in the sums
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
-    probs = frame.proba[vv[order], uu[order]]
+    # widen only the gathered rows: the sums are the same as from a float64
+    # image, and np.add.at takes its fast path only when the dtypes match
+    probs = frame.proba[vv[order], uu[order]].astype(float, copy=False)
     # np.add.at adds the rows one at a time, in order, so each sum is the
     # plain left-to-right sum; np.add.reduceat would regroup runs of 8 or
     # more rows and move the mean by an ulp

@@ -269,7 +269,7 @@ def simulate_frames(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntr
     return [SensorFrame(timestamp=sched.timestamp,
                         depth=fileio.quantize_depth_mm(depth).astype(float) / 1000.0,
                         pose=sched.pose, intrinsics=intrinsics,
-                        proba=proba.astype(np.float32).astype(float))
+                        proba=proba.astype(np.float32))
             for sched, depth, proba in _render_frames(scene, trajectory, intrinsics,
                                                       noise, num_labels)]
 

@@ -53,3 +53,20 @@ def oracle_lgrid_bytes(cells: dict, resolution, num_labels, clamp, roi) -> bytes
         parts.append(struct.pack("<3i", *key))
         parts.append(np.asarray(cells[key], dtype="<f4").tobytes())
     return b"".join(parts)
+
+
+def oracle_eager_fuse(manifest, grid, gate, p_min) -> list:
+    """LGRID1 bytes of ``grid`` after each frame, fusing the way ``fuse`` did
+    before it streamed: every manifest frame decoded and widened to float64
+    before the gate runs."""
+    import dataclasses
+
+    from labelgrid import fileio, fuse_stream
+
+    records = fileio.read_manifest(manifest)
+    frames = [fileio.load_frame(r, manifest.parent) for r in records]
+    frames = [dataclasses.replace(f, proba=f.proba.astype(float)) for f in frames]
+    snapshots = []
+    fuse_stream(grid, frames, gate, p_min=p_min,
+                on_frame=lambda index, frame, fused: snapshots.append(fileio.grid_to_bytes(grid)))
+    return snapshots

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 import labelgrid
 from conftest import TARGET_LABEL, write_cli_inputs
+from labelgrid import fileio
 from labelgrid.cli import main
 from labelgrid.fileio import load_grid, read_manifest, save_grid, write_manifest
 from labelgrid.grid import LabelOccupancyGrid
@@ -21,9 +23,11 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-@pytest.fixture
-def sim_run(tmp_path, capsys):
-    paths = write_cli_inputs(tmp_path)
+def simulate_stream(tmp_path, capsys, transition_frames=0):
+    """Simulate the bin stream with ``transition_frames`` moving frames per
+    view change into ``tmp_path``."""
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    paths = write_cli_inputs(tmp_path, transition_frames)
     out = tmp_path / "stream"
     code, _, err = run_cli(capsys, "simulate",
                            "--scene", paths["scene"],
@@ -32,6 +36,11 @@ def sim_run(tmp_path, capsys):
                            "--num-labels", 40, "--out", out)
     assert code == 0, err
     return {"paths": paths, "stream": out, "manifest": out / "manifest.json"}
+
+
+@pytest.fixture
+def sim_run(tmp_path, capsys):
+    return simulate_stream(tmp_path, capsys)
 
 
 class TestSimulate:
@@ -164,6 +173,104 @@ class TestFuse:
                                "--out", tmp_path / "clipped.lgrid")
         assert code == 0
         assert json.loads(out)["cells"] == 0
+
+
+ROI_ARG = "0,0,0,0.3,0.3,0.4"
+
+
+class TestStreamingFuse:
+    @pytest.mark.parametrize("field, value, message", [
+        (None, 5, "record 3 must be a JSON object"),
+        ("pose", 5, "record 3: pose: must be a JSON object"),
+        ("rotation", ["one"] * 9, "record 3: pose: field 'rotation' must be a list of 9 numbers"),
+    ])
+    def test_mistyped_record_exits_2_before_any_snapshot(self, sim_run, tmp_path, capsys,
+                                                         field, value, message):
+        records = read_manifest(sim_run["manifest"])
+        if field is None:
+            records[3] = value
+        elif field == "pose":
+            records[3]["pose"] = value
+        else:
+            records[3]["pose"][field] = value
+        manifest = sim_run["stream"] / "bad.json"
+        write_manifest(manifest, records)
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", manifest, "--per-frame-snapshots", snapdir,
+                               "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert message in err
+        assert not snapdir.exists()
+
+    def test_memory_does_not_grow_with_gated_frames(self, tmp_path, capsys):
+        """One decoded frame is held at a time: six moving frames per view
+        change instead of one add 15 frames but no decoded image."""
+        peaks, stats = [], []
+        for transition_frames in (1, 6):
+            manifest = simulate_stream(tmp_path / f"t{transition_frames}", capsys,
+                                       transition_frames)["manifest"]
+            tracemalloc.start()
+            try:
+                code = main(["fuse", str(manifest), "--roi", ROI_ARG,
+                             "--out", str(manifest.parent / "grid.lgrid")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            stats.append(json.loads(capsys.readouterr().out)["stats"])
+        assert [s["frames_total"] for s in stats] == [19, 34]
+        assert stats[0]["frames_fused"] == stats[1]["frames_fused"]
+        one_frame = 64 * 64 * 40 * 8
+        assert abs(peaks[1] - peaks[0]) < one_frame
+
+    def test_gated_frames_are_never_decoded(self, tmp_path, capsys, monkeypatch):
+        manifest = simulate_stream(tmp_path, capsys, 1)["manifest"]
+        decoded = []
+        load_frame = fileio.load_frame
+
+        def counting_load_frame(record, base_dir):
+            decoded.append(record["proba_file"])
+            return load_frame(record, base_dir)
+
+        monkeypatch.setattr(fileio, "load_frame", counting_load_frame)
+        argv = ["fuse", manifest, "--roi", ROI_ARG, "--out", tmp_path / "grid.lgrid"]
+        code, clean, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(decoded) == json.loads(clean)["stats"]["frames_fused"] == 9
+        gated = [r["proba_file"] for r in read_manifest(manifest)
+                 if r["proba_file"] not in decoded]
+        assert len(gated) == 10
+
+        def truncate(name):
+            path = manifest.parent / name
+            path.write_bytes(path.read_bytes()[:-4])
+
+        truncate(gated[-1])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == clean
+        truncate(decoded[0])
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert decoded[0] in err
+
+    def test_streaming_matches_eager_oracle(self, tmp_path, capsys):
+        """Pose-first streaming with float32 images writes the same per-frame
+        and final snapshots as decoding every frame to float64 up front."""
+        from conftest import BIN_ROI, NUM_LABELS, RESOLUTION
+        from labelgrid import GateConfig
+        from oracles import oracle_eager_fuse
+
+        manifest = simulate_stream(tmp_path, capsys, 2)["manifest"]
+        snapdir = tmp_path / "snaps"
+        code, _, _ = run_cli(capsys, "fuse", manifest, "--roi", ROI_ARG,
+                             "--per-frame-snapshots", snapdir, "--out", tmp_path / "grid.lgrid")
+        assert code == 0
+        grid = LabelOccupancyGrid(RESOLUTION, NUM_LABELS, clamp=3.5, roi=BIN_ROI)
+        expected = oracle_eager_fuse(manifest, grid, GateConfig(), p_min=1e-3)
+        assert len(expected) == 22
+        assert [p.read_bytes() for p in sorted(snapdir.glob("*.lgrid"))] == expected
+        assert (tmp_path / "grid.lgrid").read_bytes() == expected[-1]
 
 
 class TestEval:

@@ -1,7 +1,9 @@
 """File formats: PGM depth, PROBIMG1, LGRID1 snapshots, manifests, PLY."""
 
 import hashlib
+import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -12,8 +14,9 @@ from labelgrid import (Box3, CameraIntrinsics, LabelOccupancyGrid, Pose,
                        simulate, softmax_image)
 from labelgrid.fileio import (grid_from_bytes, grid_to_bytes, load_frame,
                               load_grid, pose_record, read_depth_pgm,
-                              read_manifest, read_probimg, save_grid,
-                              write_depth_pgm, write_ply, write_probimg)
+                              read_frame_records, read_manifest, read_probimg,
+                              save_grid, write_depth_pgm, write_manifest, write_ply,
+                              write_probimg)
 from labelgrid.simulator import simulate_frames
 
 
@@ -92,6 +95,11 @@ class TestProbimg:
         path.write_bytes(data[:-4])
         with pytest.raises(ValueError):
             read_probimg(path)
+
+    def test_read_stays_float32(self, tmp_path):
+        path = tmp_path / "p.probimg"
+        write_probimg(path, np.full((2, 3, 4), 0.25))
+        assert read_probimg(path).dtype == np.float32
 
 
 def populated_grid(roi=None, clamp=3.5):
@@ -280,6 +288,37 @@ class TestManifestAndFrames:
         del record["logits_file"]
         with pytest.raises(ValueError, match="proba_file or logits_file"):
             load_frame(record, tmp_path)
+
+    def test_frame_records_parse_poses_without_reading_images(self, tmp_path):
+        record = self.logits_record(tmp_path, np.zeros((3, 4, 5)))
+        record["depth_file"] = "missing.pgm"
+        write_manifest(tmp_path / "manifest.json", [record])
+        (item,) = read_frame_records(tmp_path / "manifest.json")
+        assert item.timestamp == 0.0
+        assert np.array_equal(item.pose.rotation, np.eye(3))
+        assert item.intrinsics.width == 4
+        with pytest.raises(OSError):
+            item.load()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["pose"].pop("fx"), "record 1: pose: missing field 'fx'"),
+        (lambda r: r["pose"].update(width=4.5), "record 1: pose: field 'width' must be an integer"),
+        (lambda r: r["pose"].update(timestamp="0"), "record 1: pose: field 'timestamp' must be a number"),
+        (lambda r: r["pose"].update(translation=[0, 0]),
+         "record 1: pose: field 'translation' must be a list of 3 numbers"),
+        (lambda r: r["pose"].update(rotation=[1, 0, 0, 0, 1, 0, 0, 0, True]),
+         "record 1: pose: field 'rotation' must be a list of 9 numbers"),
+        (lambda r: r.pop("pose"), "record 1: pose: must be a JSON object, got None"),
+        (lambda r: r.pop("logits_file"), "record 1: needs a proba_file or logits_file"),
+        (lambda r: r.update(depth_file=3), "record 1: field 'depth_file' must be a file name"),
+    ])
+    def test_frame_record_errors_name_index_and_field(self, tmp_path, edit, message):
+        good = self.logits_record(tmp_path, np.zeros((3, 4, 5)))
+        bad = json.loads(json.dumps(good))
+        edit(bad)
+        write_manifest(tmp_path / "manifest.json", [good, bad])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_frame_records(tmp_path / "manifest.json")
 
     def test_malformed_manifest_reports_line(self, tmp_path):
         path = tmp_path / "manifest.json"

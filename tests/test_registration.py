@@ -266,3 +266,58 @@ def test_register_frame_matches_unique_oracle(seed, resolution, translation, ang
     result = register_frame(frame, resolution, roi)
     assert np.array_equal(result.codes, pack_keys(keys))
     assert result.means.tobytes() == means.tobytes()
+
+
+def test_float32_image_kept_and_frame_loads_to_itself(intr100):
+    proba = np.full((200, 200, 2), 0.5, dtype=np.float32)
+    frame = make_frame(np.ones((200, 200)), proba, intr100)
+    assert frame.proba.dtype == np.float32
+    assert frame.load() is frame
+    assert make_frame(np.ones((200, 200)), proba.tolist(), intr100).proba.dtype == np.float64
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([0.01, 0.05, 0.5]),
+       st.integers(2, 40))
+def test_float32_image_registers_like_float64(seed, resolution, channels):
+    """Widening only the gathered rows gives the codes and means that
+    widening the whole image first gives, bit for bit."""
+    rng = np.random.default_rng(seed)
+    intr = CameraIntrinsics(fx=20.0, fy=22.0, cx=12.0, cy=9.0, width=24, height=18)
+    depth = rng.uniform(0.3, 3.0, size=(18, 24))
+    depth[rng.random((18, 24)) < 0.25] = 0.0
+    raw = rng.uniform(0.0, 1.0, size=(18, 24, channels))
+    proba = (raw / raw.sum(axis=2, keepdims=True)).astype(np.float32)
+    narrow = make_frame(depth, proba, intr, Pose(np.eye(3), [0.1, -0.2, 0.3]))
+    wide = make_frame(depth, proba.astype(float), intr, narrow.pose)
+    assert (narrow.proba.dtype, wide.proba.dtype) == (np.float32, np.float64)
+    a, b = register_frame(narrow, resolution), register_frame(wide, resolution)
+    assert np.array_equal(a.codes, b.codes)
+    assert a.means.dtype == b.means.dtype == np.float64
+    assert a.means.tobytes() == b.means.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 40), st.sampled_from([-1, 0, 1]),
+       st.floats(-3e-7, 3e-7), st.floats(0.0, 1.0))
+def test_simplex_check_same_in_float32_and_float64(seed, channels, side, jitter, share):
+    """The float32 channel sums, taken in float64, equal the sums of the
+    widened image, so both accept and reject the same images, and report
+    the same deviation."""
+    rng = np.random.default_rng(seed)
+    intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=3.0, cy=2.0, width=6, height=5)
+    raw = rng.uniform(0.0, 1.0, size=(5, 6, channels))
+    proba = raw / raw.sum(axis=2, keepdims=True)
+    # push some pixels' sums to within a few float32 ulps of the 1e-5 bound
+    proba[rng.random((5, 6)) < share] *= 1.0 + side * 1e-5 + jitter
+    proba = proba.astype(np.float32)
+    assert np.array_equal(proba.sum(axis=2, dtype=np.float64), proba.astype(float).sum(axis=2))
+    outcomes = []
+    for image in (proba, proba.astype(float)):
+        try:
+            make_frame(np.ones((5, 6)), image, intr)
+            outcomes.append("accepted")
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
