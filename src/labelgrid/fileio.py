@@ -81,8 +81,9 @@ def write_probimg(path, values) -> None:
     if arr.ndim != 3:
         raise ValueError(f"channel image must be (H, W, C), got shape {arr.shape}")
     h, w, c = arr.shape
-    header = f"PROBIMG1 {h} {w} {c}\n".encode("ascii")
-    Path(path).write_bytes(header + np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    with Path(path).open("wb") as f:
+        f.write(f"PROBIMG1 {h} {w} {c}\n".encode("ascii"))
+        f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def read_probimg(path) -> np.ndarray:
@@ -176,6 +177,11 @@ def load_json(path):
         raise ValueError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}") from e
 
 
+def parse_json_file(path, parse):
+    """``parse`` of a JSON file's value; a ``ValueError`` it raises names the file."""
+    return _nested(str(path), parse, load_json(path))
+
+
 def pose_record(pose: Pose, intrinsics: CameraIntrinsics, timestamp: float) -> dict:
     """Per-frame pose + intrinsics JSON object."""
     return {
@@ -190,6 +196,28 @@ def pose_record(pose: Pose, intrinsics: CameraIntrinsics, timestamp: float) -> d
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"must be a JSON object, got {value!r}")
+    return value
+
+
+def _nested(where: str, parse, value):
+    """``parse(value)``, with the message of a ``ValueError`` prefixed by ``where``."""
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _list(obj: dict, name: str, parse) -> list:
+    """``parse`` of every entry of the list field ``name``; an error names the entry."""
+    value = _field(obj, name)
+    if not isinstance(value, list):
+        raise ValueError(f"field {name!r} must be a list, got {value!r}")
+    return [_nested(f"{name}[{i}]", parse, item) for i, item in enumerate(value)]
 
 
 def _field(obj: dict, name: str):
@@ -219,17 +247,25 @@ def _numbers(obj: dict, name: str, count: int) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
+def intrinsics_from_json(obj: dict) -> CameraIntrinsics:
+    """``{fx, fy, cx, cy, width, height}`` as camera intrinsics.
+
+    A missing field or one of the wrong JSON type raises ``ValueError``
+    naming the field.
+    """
+    _object(obj)
+    return CameraIntrinsics(fx=_number(obj, "fx"), fy=_number(obj, "fy"),
+                            cx=_number(obj, "cx"), cy=_number(obj, "cy"),
+                            width=_integer(obj, "width"), height=_integer(obj, "height"))
+
+
 def parse_pose_record(obj: dict) -> tuple[Pose, CameraIntrinsics, float]:
     """Pose, intrinsics and timestamp of a :func:`pose_record` object.
 
     A missing field or one of the wrong JSON type raises ``ValueError``
     naming the field.
     """
-    if not isinstance(obj, dict):
-        raise ValueError(f"must be a JSON object, got {obj!r}")
-    intr = CameraIntrinsics(fx=_number(obj, "fx"), fy=_number(obj, "fy"),
-                            cx=_number(obj, "cx"), cy=_number(obj, "cy"),
-                            width=_integer(obj, "width"), height=_integer(obj, "height"))
+    intr = intrinsics_from_json(obj)
     pose = Pose(_numbers(obj, "rotation", 9).reshape(3, 3), _numbers(obj, "translation", 3))
     return pose, intr, _number(obj, "timestamp")
 
@@ -249,18 +285,23 @@ def load_frame(record: dict, base_dir) -> SensorFrame:
     """Materialize one manifest record into a SensorFrame, softmaxing a ``logits_file``.
 
     This is the one place frame images are decoded. A ``proba_file`` stays
-    float32 in the frame.
+    float32 in the frame. An invalid frame raises ``ValueError`` naming the
+    probability or logit image.
     """
     base = Path(base_dir)
     pose, intr, timestamp = parse_pose_record(record["pose"])
     depth = read_depth_pgm(base / record["depth_file"])
-    if "proba_file" in record:
-        proba = read_probimg(base / record["proba_file"])
-    elif "logits_file" in record:
-        proba = softmax_image(read_probimg(base / record["logits_file"]))
-    else:
+    if "proba_file" not in record and "logits_file" not in record:
         raise ValueError("manifest record needs a proba_file or logits_file")
-    return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr, proba=proba)
+    logits = "proba_file" not in record
+    image_path = base / record["logits_file" if logits else "proba_file"]
+    image = read_probimg(image_path)
+    try:
+        proba = softmax_image(image) if logits else image
+        return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr,
+                           proba=proba)
+    except ValueError as exc:
+        raise ValueError(f"{image_path}: {exc}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,10 +324,12 @@ class FrameRecord:
         where = f"{manifest_path}: record {index}"
         if not isinstance(record, dict):
             raise ValueError(f"{where} must be a JSON object, got {record!r}")
-        try:
-            pose, intr, timestamp = parse_pose_record(record.get("pose"))
-        except ValueError as exc:
-            raise ValueError(f"{where}: pose: {exc}") from None
+        pose, intr, timestamp = _nested(f"{where}: pose", parse_pose_record, record.get("pose"))
+        if "timestamp" in record:
+            top_level = _nested(where, lambda r: _number(r, "timestamp"), record)
+            if top_level != timestamp:
+                raise ValueError(f"{where}: field 'timestamp' is {top_level!r} but "
+                                 f"pose.timestamp is {timestamp!r}")
         if "proba_file" not in record and "logits_file" not in record:
             raise ValueError(f"{where}: needs a proba_file or logits_file")
         image = "proba_file" if "proba_file" in record else "logits_file"
@@ -306,15 +349,25 @@ def read_frame_records(path) -> list[FrameRecord]:
 
 
 def box_from_json(obj: dict) -> Box3:
-    return Box3(tuple(obj["min"]), tuple(obj["max"]))
+    """A ``{min, max}`` object as a box; a malformed one raises ``ValueError``."""
+    _object(obj)
+    return Box3(_numbers(obj, "min", 3), _numbers(obj, "max", 3))
+
+
+def labeled_box_from_json(obj: dict) -> tuple[int, Box3]:
+    """A ``{label, min, max}`` object as ``(label, box)``."""
+    return _integer(_object(obj), "label"), box_from_json(obj)
+
+
+def _gt_boxes_from_json(entries) -> list[tuple[int, Box3]]:
+    if not isinstance(entries, list):
+        raise ValueError("ground-truth file must be a JSON array")
+    return [_nested(f"entry {i}", labeled_box_from_json, e) for i, e in enumerate(entries)]
 
 
 def load_gt_boxes(path) -> list[tuple[int, Box3]]:
     """Ground-truth boxes: JSON array of {label, min, max}."""
-    entries = load_json(path)
-    if not isinstance(entries, list):
-        raise ValueError(f"{path}: ground-truth file must be a JSON array")
-    return [(int(e["label"]), box_from_json(e)) for e in entries]
+    return parse_json_file(path, _gt_boxes_from_json)
 
 
 # --- PLY export ------------------------------------------------------------

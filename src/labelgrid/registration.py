@@ -105,7 +105,8 @@ class SensorFrame:
             raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")
         if image.shape[2] < 2:
             raise ValueError("channel image needs at least two classes")
-        if image.min() < 0.0 or image.max() > 1.0:
+        # written so that a NaN entry, which fails every comparison, is rejected
+        if not (image.min() >= 0.0 and image.max() <= 1.0):
             raise ValueError("probability image entries must lie in [0, 1]")
         sums = image.sum(axis=2, dtype=np.float64)
         worst = float(np.abs(sums - 1.0).max())

@@ -151,49 +151,55 @@ def _pixel_rays(intrinsics: CameraIntrinsics) -> np.ndarray:
 
 
 def _ray_box_depth(origin: np.ndarray, dirs: np.ndarray, box: Box3) -> np.ndarray:
-    """Slab-method hit parameter per ray, inf for misses.
+    """Slab-method (Kay & Kajiya) hit parameter per ray, inf for misses.
 
-    Directions have camera-z component 1, so the parameter equals the
-    camera-frame z depth of the hit point.
+    ``dirs`` holds one contiguous row per axis, shape ``(3, N)``. Directions
+    have camera-z component 1, so the parameter equals the camera-frame z
+    depth of the hit point. Slab bounds divide by the direction: multiplying
+    by its inverse would round differently and change depth bits.
     """
-    bmin = np.asarray(box.min)
-    bmax = np.asarray(box.max)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (bmin - origin) / dirs
-        t2 = (bmax - origin) / dirs
-    near = np.minimum(t1, t2)
-    far = np.maximum(t1, t2)
-    # axis-parallel rays: hit the slab for all t or not at all
-    parallel = dirs == 0.0
-    if parallel.any():
-        inside = (origin >= bmin) & (origin <= bmax)
-        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
-        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
-    t_enter = near.max(axis=1)
-    t_exit = far.min(axis=1)
+    t_enter = t_exit = None
+    for axis in range(3):
+        o, lo, hi, d = origin[axis], box.min[axis], box.max[axis], dirs[axis]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t1 = (lo - o) / d
+            t2 = (hi - o) / d
+        near = np.minimum(t1, t2)
+        far = np.maximum(t1, t2, out=t1)
+        # axis-parallel rays: hit the slab for all t or not at all
+        parallel = d == 0.0
+        if parallel.any():
+            inside = lo <= o <= hi
+            near[parallel] = -np.inf if inside else np.inf
+            far[parallel] = np.inf if inside else -np.inf
+        if t_enter is None:
+            t_enter, t_exit = near, far
+        else:
+            np.maximum(t_enter, near, out=t_enter)
+            np.minimum(t_exit, far, out=t_exit)
     hit = (t_enter <= t_exit) & (t_exit > 0.0)
     t = np.where(t_enter > 0.0, t_enter, t_exit)
-    return np.where(hit, t, np.inf)
+    t[~hit] = np.inf
+    return t
 
 
 def render_scene(scene: Scene, pose: Pose, intrinsics: CameraIntrinsics
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Depth (camera-z meters, 0 = miss) and true label image in one pass."""
-    dirs = _pixel_rays(intrinsics) @ pose.rotation.T
+    dirs = np.ascontiguousarray((_pixel_rays(intrinsics) @ pose.rotation.T).T)
     origin = pose.translation
-    best_t = np.full(dirs.shape[0], np.inf)
-    best_label = np.zeros(dirs.shape[0], dtype=np.int32)
+    best_t = np.full(dirs.shape[1], np.inf)
+    best_label = np.zeros(dirs.shape[1], dtype=np.int32)
     boxes = [(label, box) for label, box in scene.objects]
     boxes += [(0, box) for box in scene.occluders]
     for label, box in boxes:
         t = _ray_box_depth(origin, dirs, box)
         closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        best_label = np.where(closer, label, best_label)
+        np.copyto(best_t, t, where=closer)
+        best_label[closer] = label
+    best_t[np.isinf(best_t)] = 0.0
     shape = (intrinsics.height, intrinsics.width)
-    depth = np.where(np.isinf(best_t), 0.0, best_t).reshape(shape)
-    labels = best_label.reshape(shape)
-    return depth, labels
+    return best_t.reshape(shape), best_label.reshape(shape)
 
 
 def frame_noise_key(timestamp: float) -> int:
@@ -206,6 +212,41 @@ def frame_noise_key(timestamp: float) -> int:
     return int(np.float64(timestamp).view(np.uint64))
 
 
+def _noisy_top_labels(labels: np.ndarray, noise: NoiseModel, num_labels: int,
+                      frame_key: int) -> np.ndarray:
+    """Flat top label per pixel: the true label, or a flipped wrong one."""
+    if labels.ndim != 2:
+        raise ValueError(f"label image must be 2-D, got shape {labels.shape}")
+    if labels.min() < 0 or labels.max() >= num_labels:
+        raise ValueError(f"labels must lie in [0, {num_labels - 1}]")
+    n = labels.size
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([noise.seed, frame_key], dtype=np.uint64)))
+    flips = rng.random(n) < noise.flip_rate
+    wrong_draw = rng.integers(0, num_labels - 1, size=n)
+
+    top = labels.ravel().astype(np.int64)
+    wrong = wrong_draw + (wrong_draw >= top)
+    return np.where(flips, wrong, top)
+
+
+def _proba_table(noise: NoiseModel, num_labels: int) -> np.ndarray:
+    """``(L, L)`` float64 table whose row k is the vector of a top-k pixel.
+
+    Row k gets ``noise.confidence`` at k and an equal share of the rest
+    elsewhere; the float sum of the row is then corrected to 1 within one
+    ulp at k.
+    """
+    if num_labels < 2:
+        raise ValueError("need at least two labels")
+    share = (1.0 - noise.confidence) / (num_labels - 1)
+    table = np.full((num_labels, num_labels), share)
+    diag = np.arange(num_labels)
+    table[diag, diag] = noise.confidence
+    table[diag, diag] += 1.0 - table.sum(axis=1)
+    return table
+
+
 def render_proba(true_labels, noise: NoiseModel, num_labels: int,
                  frame_key: int = 0) -> np.ndarray:
     """Per-pixel class probability image for a true label image.
@@ -216,28 +257,9 @@ def render_proba(true_labels, noise: NoiseModel, num_labels: int,
     (seed, frame_key, pixel index) via a counter-based generator.
     """
     labels = np.asarray(true_labels)
-    if labels.ndim != 2:
-        raise ValueError(f"label image must be 2-D, got shape {labels.shape}")
-    if labels.min() < 0 or labels.max() >= num_labels:
-        raise ValueError(f"labels must lie in [0, {num_labels - 1}]")
-    if num_labels < 2:
-        raise ValueError("need at least two labels")
-    n = labels.size
-    rng = np.random.Generator(np.random.Philox(
-        key=np.array([noise.seed, frame_key], dtype=np.uint64)))
-    flips = rng.random(n) < noise.flip_rate
-    wrong_draw = rng.integers(0, num_labels - 1, size=n)
-
-    top = labels.ravel().astype(np.int64)
-    wrong = wrong_draw + (wrong_draw >= top)
-    top = np.where(flips, wrong, top)
-
-    share = (1.0 - noise.confidence) / (num_labels - 1)
-    probs = np.full((n, num_labels), share)
-    rows = np.arange(n)
-    probs[rows, top] = noise.confidence
-    probs[rows, top] += 1.0 - probs.sum(axis=1)
-    return probs.reshape(labels.shape + (num_labels,))
+    table = _proba_table(noise, num_labels)
+    top = _noisy_top_labels(labels, noise, num_labels, frame_key)
+    return table[top].reshape(labels.shape + (num_labels,))
 
 
 # --- frame emission ---------------------------------------------------------
@@ -245,16 +267,26 @@ def render_proba(true_labels, noise: NoiseModel, num_labels: int,
 def _render_frames(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntrinsics,
                    noise: NoiseModel, num_labels: int):
     """Check the label count now, then return a generator of
-    ``(schedule, depth, proba)`` for every scheduled frame."""
+    ``(schedule, depth, proba)`` for every scheduled frame.
+
+    Geometry is rendered once per pose: hold frames share their waypoint's
+    ``Pose`` and reuse its depth and label images. Noise is drawn per frame.
+    ``proba`` is the float32 :func:`render_proba` image.
+    """
     if num_labels <= scene.max_label:
         raise ValueError(f"num_labels={num_labels} too small for scene labels "
                          f"up to {scene.max_label}")
+    table = _proba_table(noise, num_labels).astype(np.float32)
 
     def frames():
+        pose = None
         for sched in expand_trajectory(trajectory):
-            depth, labels = render_scene(scene, sched.pose, intrinsics)
-            yield sched, depth, render_proba(labels, noise, num_labels,
-                                             frame_key=frame_noise_key(sched.timestamp))
+            if sched.pose is not pose:
+                pose = sched.pose
+                depth, labels = render_scene(scene, pose, intrinsics)
+            top = _noisy_top_labels(labels, noise, num_labels,
+                                    frame_noise_key(sched.timestamp))
+            yield sched, depth, table[top].reshape(labels.shape + (num_labels,))
     return frames()
 
 
@@ -269,7 +301,7 @@ def simulate_frames(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntr
     return [SensorFrame(timestamp=sched.timestamp,
                         depth=fileio.quantize_depth_mm(depth).astype(float) / 1000.0,
                         pose=sched.pose, intrinsics=intrinsics,
-                        proba=proba.astype(np.float32))
+                        proba=proba)
             for sched, depth, proba in _render_frames(scene, trajectory, intrinsics,
                                                       noise, num_labels)]
 
@@ -304,45 +336,54 @@ def simulate(scene: Scene, trajectory: Trajectory, intrinsics: CameraIntrinsics,
 # --- scene / trajectory JSON -------------------------------------------------
 
 def scene_from_json(obj: dict) -> Scene:
-    """Parse {objects: [{label, min, max}], occluders: [{min, max}], roi: {min, max}}."""
-    objects = [(int(o["label"]), fileio.box_from_json(o)) for o in obj.get("objects", [])]
-    occluders = [fileio.box_from_json(o) for o in obj.get("occluders", [])]
-    if "roi" not in obj:
-        raise ValueError("scene is missing the roi box")
-    return Scene(objects=objects, occluders=occluders, roi=fileio.box_from_json(obj["roi"]))
+    """Parse {objects: [{label, min, max}], occluders: [{min, max}], roi: {min, max}}.
+
+    A missing field or one of the wrong JSON type raises ``ValueError``
+    naming the field.
+    """
+    fileio._object(obj)
+    objects = (fileio._list(obj, "objects", fileio.labeled_box_from_json)
+               if "objects" in obj else [])
+    occluders = fileio._list(obj, "occluders", fileio.box_from_json) if "occluders" in obj else []
+    roi = fileio._nested("roi", fileio.box_from_json, fileio._field(obj, "roi"))
+    return Scene(objects=objects, occluders=occluders, roi=roi)
 
 
 def load_scene(path) -> Scene:
-    return scene_from_json(fileio.load_json(path))
+    return fileio.parse_json_file(path, scene_from_json)
 
 
 def _waypoint_from_json(obj: dict) -> Waypoint:
+    fileio._object(obj)
     if "eye" in obj:
-        pose = look_at(obj["eye"], obj["look_at"], obj.get("up", (0.0, 1.0, 0.0)))
+        up = fileio._numbers(obj, "up", 3) if "up" in obj else (0.0, 1.0, 0.0)
+        pose = look_at(fileio._numbers(obj, "eye", 3), fileio._numbers(obj, "look_at", 3), up)
     else:
-        pose = Pose(np.asarray(obj["rotation"], dtype=float).reshape(3, 3),
-                    np.asarray(obj["translation"], dtype=float))
-    return Waypoint(pose=pose, timestamp=float(obj["timestamp"]),
-                    hold_frames=int(obj.get("hold_frames", 1)))
+        pose = Pose(fileio._numbers(obj, "rotation", 9).reshape(3, 3),
+                    fileio._numbers(obj, "translation", 3))
+    hold_frames = fileio._integer(obj, "hold_frames") if "hold_frames" in obj else 1
+    return Waypoint(pose=pose, timestamp=fileio._number(obj, "timestamp"),
+                    hold_frames=hold_frames)
 
 
 def trajectory_from_json(obj: dict) -> tuple[Trajectory, CameraIntrinsics]:
     """Parse a trajectory file: intrinsics, frame timing, and waypoints.
 
-    Waypoints specify either rotation + translation or eye + look_at
-    (+ optional up).
+    Waypoints specify either rotation (9 row-major numbers) + translation
+    or eye + look_at (+ optional up). A missing field or one of the wrong
+    JSON type raises ``ValueError`` naming the field.
     """
-    intr_obj = obj["intrinsics"]
-    intrinsics = CameraIntrinsics(fx=float(intr_obj["fx"]), fy=float(intr_obj["fy"]),
-                                  cx=float(intr_obj["cx"]), cy=float(intr_obj["cy"]),
-                                  width=int(intr_obj["width"]), height=int(intr_obj["height"]))
+    fileio._object(obj)
+    intrinsics = fileio._nested("intrinsics", fileio.intrinsics_from_json,
+                                fileio._field(obj, "intrinsics"))
     trajectory = Trajectory(
-        waypoints=[_waypoint_from_json(w) for w in obj["waypoints"]],
-        frame_dt=float(obj.get("frame_dt", 0.25)),
-        transition_frames=int(obj.get("transition_frames", 0)),
+        waypoints=fileio._list(obj, "waypoints", _waypoint_from_json),
+        frame_dt=fileio._number(obj, "frame_dt") if "frame_dt" in obj else 0.25,
+        transition_frames=(fileio._integer(obj, "transition_frames")
+                           if "transition_frames" in obj else 0),
     )
     return trajectory, intrinsics
 
 
 def load_trajectory(path) -> tuple[Trajectory, CameraIntrinsics]:
-    return trajectory_from_json(fileio.load_json(path))
+    return fileio.parse_json_file(path, trajectory_from_json)

@@ -1,7 +1,8 @@
-"""Per-voxel reference implementations of registration, update and LGRID1.
+"""Reference implementations that tests require the fast code to match bit for bit.
 
-They follow the dict-of-vectors design the columnar grid replaced, so tests
-can require the vectorised code to match them bit for bit.
+Registration, update and LGRID1 follow the dict-of-vectors design the
+columnar grid replaced. The renderer references are the ``(N, 3)`` slab
+test and the ``(N, L)`` noise model that render every frame on its own.
 """
 
 import struct
@@ -70,3 +71,89 @@ def oracle_eager_fuse(manifest, grid, gate, p_min) -> list:
     fuse_stream(grid, frames, gate, p_min=p_min,
                 on_frame=lambda index, frame, fused: snapshots.append(fileio.grid_to_bytes(grid)))
     return snapshots
+
+
+def oracle_ray_box_depth(origin, dirs, box):
+    """Slab-method hit parameter per ray of an ``(N, 3)`` direction array, inf for misses."""
+    bmin = np.asarray(box.min)
+    bmax = np.asarray(box.max)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t1 = (bmin - origin) / dirs
+        t2 = (bmax - origin) / dirs
+    near = np.minimum(t1, t2)
+    far = np.maximum(t1, t2)
+    # axis-parallel rays: hit the slab for all t or not at all
+    parallel = dirs == 0.0
+    if parallel.any():
+        inside = (origin >= bmin) & (origin <= bmax)
+        near = np.where(parallel, np.where(inside, -np.inf, np.inf), near)
+        far = np.where(parallel, np.where(inside, np.inf, -np.inf), far)
+    t_enter = near.max(axis=1)
+    t_exit = far.min(axis=1)
+    hit = (t_enter <= t_exit) & (t_exit > 0.0)
+    t = np.where(t_enter > 0.0, t_enter, t_exit)
+    return np.where(hit, t, np.inf)
+
+
+def oracle_render_scene(scene, pose, intrinsics):
+    """Depth and label image, every box tested against all rays as ``(N, 3)``."""
+    from labelgrid.simulator import _pixel_rays
+
+    dirs = _pixel_rays(intrinsics) @ pose.rotation.T
+    origin = pose.translation
+    best_t = np.full(dirs.shape[0], np.inf)
+    best_label = np.zeros(dirs.shape[0], dtype=np.int32)
+    boxes = [(label, box) for label, box in scene.objects]
+    boxes += [(0, box) for box in scene.occluders]
+    for label, box in boxes:
+        t = oracle_ray_box_depth(origin, dirs, box)
+        closer = t < best_t
+        best_t = np.where(closer, t, best_t)
+        best_label = np.where(closer, label, best_label)
+    shape = (intrinsics.height, intrinsics.width)
+    depth = np.where(np.isinf(best_t), 0.0, best_t).reshape(shape)
+    return depth, best_label.reshape(shape)
+
+
+def oracle_render_proba(labels, noise, num_labels, frame_key=0):
+    """Float64 probability image built as a full ``(N, L)`` array per frame."""
+    labels = np.asarray(labels)
+    n = labels.size
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([noise.seed, frame_key], dtype=np.uint64)))
+    flips = rng.random(n) < noise.flip_rate
+    wrong_draw = rng.integers(0, num_labels - 1, size=n)
+
+    top = labels.ravel().astype(np.int64)
+    wrong = wrong_draw + (wrong_draw >= top)
+    top = np.where(flips, wrong, top)
+
+    share = (1.0 - noise.confidence) / (num_labels - 1)
+    probs = np.full((n, num_labels), share)
+    rows = np.arange(n)
+    probs[rows, top] = noise.confidence
+    probs[rows, top] += 1.0 - probs.sum(axis=1)
+    return probs.reshape(labels.shape + (num_labels,))
+
+
+def oracle_simulate(scene, trajectory, intrinsics, noise, out_dir, num_labels):
+    """Write the stream ``simulate`` writes, rendering geometry for every frame
+    and building each PROBIMG1 file as one ``header + payload`` bytes object."""
+    from labelgrid import fileio
+    from labelgrid.simulator import expand_trajectory, frame_noise_key
+
+    out_dir.mkdir(parents=True)
+    records = []
+    for index, sched in enumerate(expand_trajectory(trajectory)):
+        depth, labels = oracle_render_scene(scene, sched.pose, intrinsics)
+        proba = oracle_render_proba(labels, noise, num_labels,
+                                    frame_noise_key(sched.timestamp))
+        depth_name, proba_name = f"depth_{index:04d}.pgm", f"proba_{index:04d}.probimg"
+        fileio.write_depth_pgm(out_dir / depth_name, depth)
+        h, w, c = proba.shape
+        (out_dir / proba_name).write_bytes(f"PROBIMG1 {h} {w} {c}\n".encode("ascii")
+                                           + proba.astype("<f4").tobytes())
+        records.append({"depth_file": depth_name, "proba_file": proba_name,
+                        "timestamp": sched.timestamp,
+                        "pose": fileio.pose_record(sched.pose, intrinsics, sched.timestamp)})
+    fileio.write_manifest(out_dir / "manifest.json", records)

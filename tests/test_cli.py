@@ -61,6 +61,24 @@ class TestSimulate:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("which, edit, message", [
+        ("scene", lambda s: s["objects"][0].update(min=5),
+         "scene.json: objects[0]: field 'min' must be a list of 3 numbers, got 5"),
+        ("trajectory", lambda t: t.update(waypoints=5),
+         "trajectory.json: field 'waypoints' must be a list, got 5"),
+    ])
+    def test_mistyped_input_exits_2_naming_file_and_field(self, tmp_path, capsys,
+                                                          which, edit, message):
+        paths = write_cli_inputs(tmp_path)
+        obj = json.loads(paths[which].read_text())
+        edit(obj)
+        paths[which].write_text(json.dumps(obj))
+        code, _, err = run_cli(capsys, "simulate", "--scene", paths["scene"],
+                               "--trajectory", paths["trajectory"], "--out", tmp_path / "o")
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path, capsys):
         paths = write_cli_inputs(tmp_path)
         blobs = []
@@ -202,6 +220,30 @@ class TestStreamingFuse:
         assert message in err
         assert not snapdir.exists()
 
+    def test_backwards_top_level_timestamps_exit_2(self, sim_run, tmp_path, capsys):
+        records = read_manifest(sim_run["manifest"])
+        for i, record in enumerate(records):
+            record["timestamp"] = 100.0 - i
+        manifest = sim_run["stream"] / "bad.json"
+        write_manifest(manifest, records)
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", manifest, "--per-frame-snapshots", snapdir,
+                               "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert "record 0: field 'timestamp' is 100.0 but pose.timestamp is 0.0" in err
+        assert not snapdir.exists()
+
+    def test_nan_probability_in_a_fused_frame_exits_2_naming_the_file(self, sim_run,
+                                                                       tmp_path, capsys):
+        path = sim_run["stream"] / read_manifest(sim_run["manifest"])[-1]["proba_file"]
+        proba = fileio.read_probimg(path).copy()
+        proba[0, 0, 5] = np.nan
+        fileio.write_probimg(path, proba)
+        code, _, err = run_cli(capsys, "fuse", sim_run["manifest"],
+                               "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert f"{path}: probability image entries must lie in [0, 1]" in err
+
     def test_memory_does_not_grow_with_gated_frames(self, tmp_path, capsys):
         """One decoded frame is held at a time: six moving frames per view
         change instead of one add 15 frames but no decoded image."""
@@ -340,6 +382,16 @@ class TestEval:
         per_view = [ious[i] for i in (3, 7, 11, 15)]
         assert all(b >= a for a, b in zip(per_view, per_view[1:]))
         assert per_view[-1] > per_view[0] > 0.0
+
+    def test_mistyped_boxes_exit_2_naming_file_and_field(self, tmp_path, capsys):
+        snapshot = tmp_path / "empty.lgrid"
+        save_grid(snapshot, LabelOccupancyGrid(0.005, 40))
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps([{"label": 1, "min": [0, 0, 0], "max": [1, 1, 1]},
+                                     {"label": 2, "min": [0, 0, 0], "max": "far"}]))
+        code, _, err = run_cli(capsys, "eval", snapshot, "--boxes", boxes)
+        assert code == 2
+        assert f"{boxes}: entry 1: field 'max' must be a list of 3 numbers" in err
 
     def test_missing_label_errors(self, tmp_path, capsys):
         snapshot = tmp_path / "empty.lgrid"

@@ -311,6 +311,9 @@ class TestManifestAndFrames:
         (lambda r: r.pop("pose"), "record 1: pose: must be a JSON object, got None"),
         (lambda r: r.pop("logits_file"), "record 1: needs a proba_file or logits_file"),
         (lambda r: r.update(depth_file=3), "record 1: field 'depth_file' must be a file name"),
+        (lambda r: r.update(timestamp=True), "record 1: field 'timestamp' must be a number"),
+        (lambda r: r.update(timestamp=0.5),
+         "record 1: field 'timestamp' is 0.5 but pose.timestamp is 0.0"),
     ])
     def test_frame_record_errors_name_index_and_field(self, tmp_path, edit, message):
         good = self.logits_record(tmp_path, np.zeros((3, 4, 5)))

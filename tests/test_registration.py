@@ -111,6 +111,15 @@ class TestSensorFrameValidation:
         with pytest.raises(ValueError, match="channel sums"):
             make_frame(depth, proba, intr100)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rejects_nan_on_a_zero_depth_pixel(self, intr100, dtype):
+        depth = np.ones((200, 200))
+        depth[3, 4] = 0.0
+        proba = np.full((200, 200, 2), 0.5, dtype=dtype)
+        proba[3, 4, 1] = np.nan
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            make_frame(depth, proba, intr100)
+
     def test_rejects_shape_mismatch(self, intr100):
         with pytest.raises(ValueError):
             make_frame(np.ones((100, 200)), np.full((200, 200, 2), 0.5), intr100)

@@ -1,5 +1,6 @@
 """Simulator: analytic box renderer, synthetic classifier noise, trajectories."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,10 @@ from labelgrid import (Box3, CameraIntrinsics, NoiseModel, Pose, Scene,
                        Trajectory, Waypoint, camera_velocity,
                        expand_trajectory, look_at, render_proba,
                        render_scene, simulate, simulate_frames)
+from labelgrid import simulator
 from labelgrid.simulator import frame_noise_key
+from oracles import (oracle_render_proba, oracle_render_scene,
+                     oracle_simulate)
 
 WORLD = Box3((-10, -10, -10), (10, 10, 10))
 INTR32 = CameraIntrinsics(fx=32.0, fy=32.0, cx=16.0, cy=16.0, width=32, height=32)
@@ -267,3 +271,150 @@ class TestSimulateFrames:
             simulate(bin_scene, make_trajectory(), intrinsics, noise_model, out,
                      num_labels=bin_scene.max_label)
         assert not out.exists()
+
+
+# --- the renderer against its (N, 3) / (N, L) reference -----------------------
+
+# rotations whose camera axes lie along world axes, so many rays have exact
+# zero direction components (the slab test's parallel-ray branch)
+AXIS_ROTATIONS = [m for m in (np.diag(signs)[list(perm)]
+                              for perm in itertools.permutations(range(3))
+                              for signs in itertools.product((1.0, -1.0), repeat=3))
+                  if np.linalg.det(m) > 0]
+
+# a few shared values make eyes land exactly on box faces
+coord = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+extent = st.sampled_from([0.5, 1.0]) | st.floats(0.01, 2.0)
+
+
+@st.composite
+def boxes(draw):
+    lo = [draw(coord) for _ in range(3)]
+    return Box3(lo, [v + draw(extent) for v in lo])
+
+
+@st.composite
+def rotations(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from(AXIS_ROTATIONS))
+    from scipy.spatial.transform import Rotation
+    q = [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
+    if np.linalg.norm(q) < 0.1:
+        q = [0.0, 0.0, 0.0, 1.0]
+    return Rotation.from_quat(q).as_matrix()
+
+
+@st.composite
+def scenes(draw, max_label=3):
+    labels = draw(st.lists(st.integers(1, max_label), max_size=3, unique=True))
+    occluders = draw(st.lists(boxes(), max_size=2))
+    return scene_of([(label, draw(boxes())) for label in labels], occluders)
+
+
+INTR_ODD = CameraIntrinsics(fx=9.0, fy=7.0, cx=6.0, cy=4.0, width=13, height=9)
+
+
+def assert_same_render(scene, pose, intrinsics):
+    depth, labels = render_scene(scene, pose, intrinsics)
+    want_depth, want_labels = oracle_render_scene(scene, pose, intrinsics)
+    assert np.array_equal(depth.view(np.uint64), want_depth.view(np.uint64))
+    assert np.array_equal(labels, want_labels)
+    assert labels.dtype == want_labels.dtype
+
+
+class TestRendererOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(scenes(), rotations(), st.tuples(coord, coord, coord))
+    def test_render_scene_bit_equal(self, scene, rotation, eye):
+        assert_same_render(scene, Pose(rotation, eye), INTR_ODD)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenes(), rotations(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_render_scene_bit_equal_from_inside_a_box(self, scene, rotation, fx, fy, fz):
+        box = Box3((-0.7, -0.4, -0.9), (0.6, 0.8, 0.3))
+        eye = [lo + f * (hi - lo) for lo, hi, f in zip(box.min, box.max, (fx, fy, fz))]
+        scene = scene_of(scene.objects + [(4, box)], scene.occluders)
+        assert_same_render(scene, Pose(rotation, eye), INTR_ODD)
+
+    def test_axis_aligned_poses_exercise_parallel_rays(self):
+        # the centre pixel row and column of INTR_ODD have zero x or y direction
+        scene = scene_of([(1, Box3((-1.0, -1.0, 1.0), (1.0, 1.0, 2.0)))],
+                         occluders=[Box3((0.0, -0.5, -3.0), (0.5, 0.0, -2.0))])
+        for rotation in AXIS_ROTATIONS:
+            for eye in [(0.0, 0.0, 0.0), (0.0, -0.5, 0.0), (0.5, 0.0, -2.5)]:
+                assert_same_render(scene, Pose(rotation, eye), INTR_ODD)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 41), st.floats(0.51, 0.99), st.floats(0.0, 0.49),
+           st.integers(0, 2**32), st.integers(0, 2**64 - 1), st.integers(0, 2**32))
+    def test_render_proba_bit_equal(self, num_labels, confidence, flip_rate, seed,
+                                    frame_key, label_seed):
+        labels = np.random.default_rng(label_seed).integers(0, num_labels, size=(5, 7))
+        noise = NoiseModel(confidence=confidence, flip_rate=flip_rate, seed=seed)
+        probs = render_proba(labels, noise, num_labels, frame_key=frame_key)
+        want = oracle_render_proba(labels, noise, num_labels, frame_key=frame_key)
+        assert probs.dtype == np.float64
+        assert np.array_equal(probs.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=40, deadline=None)
+    @given(scenes(max_label=5), rotations(), st.tuples(coord, coord, coord),
+           st.integers(6, 41), st.integers(0, 1000), st.integers(0, 3))
+    def test_simulated_frames_match_per_frame_renders(self, scene, rotation, eye,
+                                                      num_labels, seed, transitions):
+        noise = NoiseModel(confidence=0.7, flip_rate=0.2, seed=seed)
+        waypoints = [Waypoint(Pose(rotation, eye), 0.0, hold_frames=3),
+                     Waypoint(look_at((0.3, -0.2, -4.0), (0.0, 0.0, 0.0)), 2.0,
+                              hold_frames=2)]
+        trajectory = Trajectory(waypoints, frame_dt=0.25, transition_frames=transitions)
+        frames = simulate_frames(scene, trajectory, INTR_ODD, noise, num_labels)
+        schedule = expand_trajectory(trajectory)
+        assert len(frames) == len(schedule)
+        for frame, sched in zip(frames, schedule):
+            depth, labels = oracle_render_scene(scene, sched.pose, INTR_ODD)
+            proba = oracle_render_proba(labels, noise, num_labels,
+                                        frame_noise_key(sched.timestamp))
+            assert frame.proba.dtype == np.float32
+            assert np.array_equal(frame.proba, proba.astype(np.float32))
+            assert np.array_equal(frame.depth, np.rint(depth * 1000.0) / 1000.0)
+
+
+class TestRenderOncePerPose:
+    def test_simulate_writes_the_oracle_stream(self, bin_scene, intrinsics,
+                                               noise_model, tmp_path):
+        from conftest import make_trajectory
+        trajectory = make_trajectory(2)
+        manifest = simulate(bin_scene, trajectory, intrinsics, noise_model,
+                            tmp_path / "fast", num_labels=40)
+        oracle_simulate(bin_scene, trajectory, intrinsics, noise_model,
+                        tmp_path / "oracle", num_labels=40)
+        names = sorted(p.name for p in (tmp_path / "oracle").iterdir())
+        assert sorted(p.name for p in manifest.parent.iterdir()) == names
+        assert len(names) == 2 * 22 + 1
+        for name in names:
+            assert (tmp_path / "fast" / name).read_bytes() == \
+                (tmp_path / "oracle" / name).read_bytes(), name
+
+    def test_geometry_rendered_once_per_pose_change(self, bin_scene, intrinsics,
+                                                    noise_model, monkeypatch):
+        from conftest import make_trajectory
+        trajectory = make_trajectory(2)
+        calls = []
+        real = simulator.render_scene
+
+        def counting(scene, pose, intr):
+            calls.append(pose)
+            return real(scene, pose, intr)
+
+        monkeypatch.setattr(simulator, "render_scene", counting)
+        frames = simulate_frames(bin_scene, trajectory, intrinsics, noise_model, 40)
+        schedule = expand_trajectory(trajectory)
+        changes = 1 + sum(
+            not (np.array_equal(a.pose.rotation, b.pose.rotation)
+                 and np.array_equal(a.pose.translation, b.pose.translation))
+            for a, b in zip(schedule, schedule[1:]))
+        assert len(frames) == 22
+        assert len(calls) == changes == 4 + 3 * 2
+        # hold frames share the render but not the noise
+        assert np.array_equal(frames[0].depth, frames[1].depth)
+        assert not np.array_equal(frames[0].proba, frames[1].proba)
