@@ -46,6 +46,16 @@ def write_depth_pgm(path, depth_m) -> None:
     Path(path).write_bytes(header + mm.astype(">u2").tobytes())
 
 
+def _header_size(path, name: str, token: bytes) -> int:
+    """A positive decimal size field of an image header, or ``ValueError``
+    naming the file and the field."""
+    # ASCII digits only: int() would also take a sign, spaces and underscores
+    if not (token.isdigit() and len(token) <= 18 and int(token) > 0):
+        raise ValueError(f"{path}: {name} must be a positive integer below 10**18, "
+                         f"got {token[:40]!r}")
+    return int(token)
+
+
 def read_depth_pgm(path) -> np.ndarray:
     """Read a 16-bit PGM depth image back to meters (0 stays 0 = invalid)."""
     raw = Path(path).read_bytes()
@@ -63,7 +73,8 @@ def read_depth_pgm(path) -> np.ndarray:
     pos += 1  # single whitespace byte separating header and raster
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    width, height, maxval = (int(t) for t in tokens[1:])
+    width, height, maxval = (_header_size(path, name, token)
+                             for name, token in zip(("width", "height", "maxval"), tokens[1:]))
     if maxval != 65535:
         raise ValueError(f"{path}: expected maxval 65535, got {maxval}")
     expected = width * height * 2
@@ -94,7 +105,8 @@ def read_probimg(path) -> np.ndarray:
     fields = raw[:newline].split()
     if len(fields) != 4 or fields[0] != PROBIMG_MAGIC:
         raise ValueError(f"{path}: malformed PROBIMG1 header {raw[:newline]!r}")
-    h, w, c = (int(f) for f in fields[1:])
+    h, w, c = (_header_size(path, name, field)
+               for name, field in zip(("height", "width", "channels"), fields[1:]))
     size, expected = len(raw) - newline - 1, h * w * c * 4
     if size != expected:
         raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")

@@ -67,10 +67,24 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        """Map camera-frame points with shape (..., 3) into the world frame."""
+    def rotate(self, points: np.ndarray) -> np.ndarray:
+        """Rotate points with shape (..., 3): ``points @ rotation.T``, bit for bit.
+
+        Several points are multiplied by a contiguous copy of the transpose,
+        which BLAS multiplies several times faster than the strided view and
+        rounds the same way. A single point is a matrix-vector product, whose
+        two layouts round differently, so it keeps the view.
+        """
         pts = np.asarray(points, dtype=float)
-        return pts @ self.rotation.T + self.translation
+        rotation_t = self.rotation.T
+        if pts.ndim > 1 and pts.shape[-2] > 1:
+            rotation_t = np.ascontiguousarray(rotation_t)
+        return pts @ rotation_t
+
+    def transform(self, points: np.ndarray) -> np.ndarray:
+        """Map camera-frame points with shape (..., 3) into the world frame:
+        ``points @ rotation.T + translation``, bit for bit (see :meth:`rotate`)."""
+        return self.rotate(points) + self.translation
 
     def inverse_transform(self, points: np.ndarray) -> np.ndarray:
         """Map world-frame points back into the camera frame."""

@@ -16,6 +16,7 @@ axis (about +-5.2 km at 5 mm voxels); any other key raises ``ValueError``.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from typing import Iterator, NamedTuple, Optional
@@ -65,6 +66,54 @@ def world_to_key(point, resolution: float) -> VoxelKey:
 def voxel_center(key, resolution: float) -> np.ndarray:
     """World coordinates of a voxel's center; also maps (N, 3) keys to (N, 3) centers."""
     return (np.asarray(key, dtype=float) + 0.5) * resolution
+
+
+def _first_key(predicate) -> int:
+    """Smallest int64 k with ``predicate(k)``, for a predicate that never turns
+    false as k grows; 2**63 when it holds for no int64 k."""
+    lo, hi = -(1 << 63), 1 << 63
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@functools.lru_cache(maxsize=64)
+def roi_key_bounds(roi: Box3, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis, the smallest and largest int64 key whose voxel center lies in
+    the closed ``roi``, as two read-only int64 3-vectors ``(lo, hi)``.
+
+    The centers are :func:`voxel_center`'s float expression, which never
+    decreases as the key grows, so a key's center lies in the roi exactly
+    when ``lo <= key <= hi`` on every axis. An axis with no such key gets
+    ``lo = 1 > hi = 0``.
+    """
+    lo, hi = [], []
+    for axis in range(3):
+        first = _first_key(lambda k: voxel_center(k, resolution) >= roi.min[axis])
+        last = _first_key(lambda k: voxel_center(k, resolution) > roi.max[axis]) - 1
+        lo.append(first if first <= last else 1)
+        hi.append(last if first <= last else 0)
+    bounds = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    for b in bounds:
+        b.flags.writeable = False
+    return bounds
+
+
+def keys_in_roi(keys, roi: Box3, resolution: float) -> np.ndarray:
+    """Mask of the (N, 3) integer keys whose voxel center lies in the closed
+    ``roi``: ``roi.contains(voxel_center(keys, resolution))``, tested on the
+    keys against :func:`roi_key_bounds`."""
+    lo, hi = roi_key_bounds(roi, resolution)
+    inside = np.ones(keys.shape[0], dtype=bool)
+    # one column at a time: several times faster than an (N, 3) mask and .all()
+    for axis in range(3):
+        column = keys[:, axis]
+        inside &= (column >= lo[axis]) & (column <= hi[axis])
+    return inside
 
 
 def _key_range_error(key) -> ValueError:
@@ -233,10 +282,11 @@ class LabelOccupancyGrid:
         if not ((p > 0.0) & (p < 1.0)).all():
             raise ValueError("measurement probabilities must lie strictly in (0, 1)")
         if self.roi is not None:
-            inside = self.roi.contains(voxel_center(unpack_codes(codes), self._resolution))
+            inside = keys_in_roi(unpack_codes(codes), self.roi, self._resolution)
             self.discarded_updates += int(codes.shape[0] - np.count_nonzero(inside))
             codes, p = codes[inside], p[inside]
-        delta = np.log(p / (1.0 - p))
+        delta = np.subtract(1.0, p)
+        np.log(np.divide(p, delta, out=delta), out=delta)
         rows = self._codes.searchsorted(codes)
         new = rows >= self._codes.shape[0]
         new[~new] = self._codes[rows[~new]] != codes[~new]
@@ -245,7 +295,8 @@ class LabelOccupancyGrid:
             self._values = np.insert(self._values, rows[new], 0.0, axis=0)
             # each code moves down by the number of new codes sorted before it
             rows += np.cumsum(new) - new
-        cells = self._values[rows] + delta
+        cells = self._values[rows]
+        cells += delta
         np.clip(cells, -self.clamp, self.clamp, out=cells)
         self._values[rows] = cells
 
@@ -259,7 +310,7 @@ class LabelOccupancyGrid:
         code = pack_key(key)
         label = self._check_label(label)
         delta = logit(measurement_p)
-        if self.roi is not None and not self.roi.contains(self.voxel_center(key)):
+        if self.roi is not None and not keys_in_roi(np.array([key]), self.roi, self._resolution)[0]:
             self.discarded_updates += 1
             return
         row = int(self._codes.searchsorted(code))

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import Box3, Pose
-from .grid import VoxelKey, pack_keys, unpack_codes, voxel_center
+from .grid import VoxelKey, keys_in_roi, pack_keys, unpack_codes
 
 
 @dataclass(frozen=True)
@@ -151,15 +151,55 @@ class RegistrationResult:
         return [VoxelMeasurement(VoxelKey(*k), row) for k, row in zip(keys, self.means)]
 
 
+# runs longer than this finish with one np.add.accumulate, so the row
+# loop in _run_means takes at most this many steps per frame
+_STEP_ROWS = 64
+
+
+def _run_means(rows: np.ndarray, pixel: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """float64 means of ``rows`` over each run ``pixel[starts[i]:starts[i + 1]]``
+    (the last run ends at ``len(pixel)``): each run's sum over its length.
+
+    Each sum is ``((+0.0 + r0) + r1) + ...`` in run order, the left-to-right
+    sum that adding the rows one at a time into zeros forms: rows are
+    widened exactly from float32, and the ``+0.0`` start turns a ``-0.0``
+    entry into ``+0.0`` as a zero-initialised sum does. Runs are stepped
+    longest first, so step k adds the k-th row of a prefix of them.
+    ``np.add.reduceat`` is not used: it regroups runs of 8 or more rows.
+    """
+    lengths = np.diff(starts, append=pixel.shape[0])
+    by_length = np.argsort(-lengths, kind="stable")
+    first, length = starts[by_length], lengths[by_length]
+    # longer[k] = how many runs have more than k rows (a prefix of by_length)
+    steps = min(int(length[0]), _STEP_ROWS)
+    longer = np.searchsorted(-length, -np.arange(steps + 1), side="left")
+    sums = np.add(rows[pixel[first]], 0.0, dtype=float)
+    for k in range(1, steps):
+        m = longer[k]
+        sums[:m] += rows[pixel[first[:m] + k]]
+    # accumulate adds strictly in order, so the partial sums carry on exactly
+    for r in range(longer[steps]):
+        rest = rows[pixel[first[r] + steps:first[r] + length[r]]]
+        sums[r] = np.add.accumulate(np.concatenate((sums[r:r + 1], rest)), axis=0)[-1]
+    sums /= length[:, None]
+    means = np.empty_like(sums)
+    means[by_length] = sums
+    return means
+
+
 def register_frame(frame: SensorFrame, resolution: float,
                    roi: Optional[Box3] = None) -> RegistrationResult:
     """Bin every valid-depth pixel of a frame into world-space voxels.
 
     Pixels landing in the same voxel are averaged (one measurement per
     voxel per frame). Voxels whose center falls outside ``roi`` are
-    dropped and counted. Output is sorted by voxel key and deterministic:
-    same-voxel contributions accumulate in pixel row-major order. A kept
-    voxel key outside [-2**20, 2**20) on any axis raises ``ValueError``.
+    dropped and counted; the test runs on the integer keys against
+    :func:`~labelgrid.grid.roi_key_bounds` and gives the same answer as
+    testing the float centers. Output is sorted by voxel key and
+    deterministic: each voxel's sum starts at ``+0.0`` and adds its
+    pixels' probability rows in float64, one at a time, in pixel
+    row-major order, then divides by the pixel count. A kept voxel key
+    outside [-2**20, 2**20) on any axis raises ``ValueError``.
     """
     if resolution <= 0:
         raise ValueError(f"resolution must be positive, got {resolution}")
@@ -184,28 +224,21 @@ def register_frame(frame: SensorFrame, resolution: float,
     ], axis=1)
     world = frame.pose.transform(cam)
     keys = np.floor(world / resolution).astype(np.int64)
+    # the flat pixel index stands in for the probability row until the sums
+    pixel = vv * intr.width + uu
 
     skipped_roi = 0
     if roi is not None:
-        keep = roi.contains(voxel_center(keys, resolution))
+        keep = keys_in_roi(keys, roi, resolution)
         skipped_roi = int(keys.shape[0] - np.count_nonzero(keep))
-        keys, vv, uu = keys[keep], vv[keep], uu[keep]
+        keys, pixel = keys[keep], pixel[keep]
     if keys.shape[0] == 0:
         return empty(skipped_roi)
 
     codes = pack_keys(keys)
     # stable, so same-voxel pixels keep their row-major order in the sums
     order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    # widen only the gathered rows: the sums are the same as from a float64
-    # image, and np.add.at takes its fast path only when the dtypes match
-    probs = frame.proba[vv[order], uu[order]].astype(float, copy=False)
-    # np.add.at adds the rows one at a time, in order, so each sum is the
-    # plain left-to-right sum; np.add.reduceat would regroup runs of 8 or
-    # more rows and move the mean by an ulp
-    first = np.concatenate(([True], codes[1:] != codes[:-1]))
-    voxel = np.cumsum(first) - 1
-    sums = np.zeros((int(voxel[-1]) + 1, probs.shape[1]))
-    np.add.at(sums, voxel, probs)
-    counts = np.bincount(voxel)
-    return RegistrationResult(codes[first], sums / counts[:, None], skipped_depth, skipped_roi)
+    codes, pixel = codes[order], pixel[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    means = _run_means(frame.proba.reshape(-1, frame.num_labels), pixel, starts)
+    return RegistrationResult(codes[starts], means, skipped_depth, skipped_roi)

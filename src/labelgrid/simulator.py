@@ -10,6 +10,7 @@ fusion gate is expected to reject.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -141,13 +142,19 @@ def expand_trajectory(trajectory: Trajectory) -> list[ScheduledFrame]:
 
 # --- rendering -------------------------------------------------------------
 
+@functools.lru_cache(maxsize=4)
 def _pixel_rays(intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Camera-frame ray directions through every pixel, z normalized to 1."""
+    """Camera-frame ray directions through every pixel, z normalized to 1.
+
+    Built once per intrinsics and shared, so the array is read-only.
+    """
     uu, vv = np.meshgrid(np.arange(intrinsics.width, dtype=float),
                          np.arange(intrinsics.height, dtype=float))
-    return np.stack([(uu - intrinsics.cx) / intrinsics.fx,
+    rays = np.stack([(uu - intrinsics.cx) / intrinsics.fx,
                      (vv - intrinsics.cy) / intrinsics.fy,
                      np.ones_like(uu)], axis=-1).reshape(-1, 3)
+    rays.flags.writeable = False
+    return rays
 
 
 def _ray_box_depth(origin: np.ndarray, dirs: np.ndarray, box: Box3) -> np.ndarray:
@@ -186,7 +193,7 @@ def _ray_box_depth(origin: np.ndarray, dirs: np.ndarray, box: Box3) -> np.ndarra
 def render_scene(scene: Scene, pose: Pose, intrinsics: CameraIntrinsics
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Depth (camera-z meters, 0 = miss) and true label image in one pass."""
-    dirs = np.ascontiguousarray((_pixel_rays(intrinsics) @ pose.rotation.T).T)
+    dirs = np.ascontiguousarray(pose.rotate(_pixel_rays(intrinsics)).T)
     origin = pose.translation
     best_t = np.full(dirs.shape[1], np.inf)
     best_label = np.zeros(dirs.shape[1], dtype=np.int32)

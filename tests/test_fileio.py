@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, LabelOccupancyGrid, Pose,
                        simulate, softmax_image)
@@ -100,6 +102,86 @@ class TestProbimg:
         path = tmp_path / "p.probimg"
         write_probimg(path, np.full((2, 3, 4), 0.25))
         assert read_probimg(path).dtype == np.float32
+
+
+def read_or_error(reader, path):
+    """The array the reader returns, or the message of the ValueError it
+    raises; any other exception fails the test."""
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+IMAGE_READERS = {
+    "pgm": (read_depth_pgm, write_depth_pgm, np.full((3, 4), 1.25)),
+    "probimg": (read_probimg, write_probimg, np.full((3, 4, 2), 0.5)),
+}
+
+SIZE_TOKENS = st.one_of(
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from(["0", "-0", "+3", " 3", "3.0", "1e3", "0x3", "3_0", "\u0663", "",
+                     "9" * 18, "9" * 19, "9" * 5000]),
+    st.text(max_size=8))
+
+
+class TestImageHeaderErrors:
+    @pytest.mark.parametrize("reader,data,field", [
+        (read_depth_pgm, b"P5\nx 1\n65535\n\x00\x00", "width"),
+        (read_depth_pgm, b"P5\n1 -2\n65535\n", "height"),
+        (read_depth_pgm, b"P5\n0 0\n65535\n", "width"),
+        (read_depth_pgm, b"P5\n1 1\n6e4\n\x00\x00", "maxval"),
+        (read_probimg, b"PROBIMG1 2 -1 2\n", "width"),
+        (read_probimg, b"PROBIMG1 0 0 0\n", "height"),
+        (read_probimg, b"PROBIMG1 1 1 1.5\n\x00\x00\x80\x3f", "channels"),
+    ])
+    def test_bad_size_names_file_and_field(self, tmp_path, reader, data, field):
+        path = tmp_path / "image.bin"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {field} must be "
+                                             r"a positive integer"):
+            reader(path)
+
+    @pytest.mark.parametrize("kind", sorted(IMAGE_READERS))
+    @settings(max_examples=150, deadline=None)
+    @given(cut=st.integers(0, 10 ** 6), flips=st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                                                  st.integers(0, 7)),
+                                                        max_size=3))
+    def test_truncated_or_bit_flipped_file(self, tmp_path_factory, kind, cut, flips):
+        reader, writer, image = IMAGE_READERS[kind]
+        path = tmp_path_factory.mktemp(kind) / f"image.{kind}"
+        writer(path, image)
+        good = path.read_bytes()
+        header = good.index(b"\n", len(good) - image.size * (2 if kind == "pgm" else 4) - 1)
+        data = bytearray(good[:cut % (len(good) + 1)])
+        for pos, bit in flips:  # flip bits inside the header only
+            if data:
+                data[pos % min(len(data), header + 1)] ^= 1 << bit
+        path.write_bytes(bytes(data))
+        got = read_or_error(reader, path)
+        if isinstance(got, str):
+            assert got.startswith(f"{path}: ")
+        else:  # a flip or a cut can leave a smaller valid image
+            assert got.ndim == image.ndim and got.size > 0
+        if bytes(data) == good:
+            assert np.array_equal(got, image.astype(got.dtype))
+
+    @pytest.mark.parametrize("kind", sorted(IMAGE_READERS))
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(SIZE_TOKENS, min_size=3, max_size=3), payload=st.integers(0, 64))
+    def test_huge_negative_or_non_numeric_sizes(self, tmp_path_factory, kind, sizes, payload):
+        reader = IMAGE_READERS[kind][0]
+        path = tmp_path_factory.mktemp(kind) / f"image.{kind}"
+        if kind == "pgm":
+            head = f"P5\n{sizes[0]} {sizes[1]}\n{sizes[2]}\n"
+        else:
+            head = f"PROBIMG1 {sizes[0]} {sizes[1]} {sizes[2]}\n"
+        path.write_bytes(head.encode("utf-8", "surrogatepass") + bytes(payload))
+        got = read_or_error(reader, path)
+        if isinstance(got, str):
+            assert got.startswith(f"{path}: ")
+        else:
+            assert got.size > 0
 
 
 def populated_grid(roi=None, clamp=3.5):

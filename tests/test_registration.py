@@ -4,12 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, deproject,
                        project, register_frame, softmax_image)
-from labelgrid.grid import pack_keys
+from labelgrid.grid import keys_in_roi, pack_keys, roi_key_bounds, voxel_center
+from labelgrid.registration import _STEP_ROWS
 from oracles import oracle_register
 
 E_OVER_E_PLUS_1 = 0.7310585786300049  # softmax of logits (1, 0)
@@ -330,3 +331,150 @@ def test_simplex_check_same_in_float32_and_float64(seed, channels, side, jitter,
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def voxel_run_frame(voxel, proba):
+    """A frame whose row-major pixel p lands in voxel key (0, 0, voxel[p] + 1),
+    or has zero depth where ``voxel[p] < 0``: the depth picks the z key, and
+    a huge focal length keeps x and y inside key 0."""
+    h, w = proba.shape[:2]
+    intr = CameraIntrinsics(fx=1e9, fy=1e9, cx=0.0, cy=0.0, width=w, height=h)
+    depth = np.where(voxel < 0, 0.0, voxel + 1.5).reshape(h, w)
+    return make_frame(depth, proba, intr, Pose(np.eye(3), [0.5, 0.5, 0.0]))
+
+
+def random_proba(rng, shape, dtype, negative_zero):
+    """Simplex rows whose entries span several magnitudes, so that any change
+    in summation order shows in the low bits of the means."""
+    raw = rng.random(shape) ** 4
+    proba = (raw / raw.sum(axis=-1, keepdims=True)).astype(dtype)
+    if negative_zero:
+        # -0.0 passes the >= 0 check; a voxel whose rows are all -0.0 must
+        # still average to +0.0, as a sum started from zeros does
+        proba[..., 0] = -0.0
+        proba[..., 1] += (1.0 - proba.sum(axis=-1, dtype=np.float64)).astype(dtype)
+    return proba
+
+
+def assert_matches_unique_oracle(frame, resolution=1.0, roi=None):
+    keys, means = oracle_register(frame, resolution, roi)
+    result = register_frame(frame, resolution, roi)
+    assert np.array_equal(result.codes, pack_keys(keys))
+    assert result.means.dtype == np.float64
+    assert np.array_equal(result.means.view(np.uint64), means.view(np.uint64))
+    return result
+
+
+class TestRunSums:
+    """Run-wise sums against the np.unique + np.add.at oracle, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_voxel_holds_every_pixel(self, dtype):
+        """76 800 rows in one run, far past the step cut."""
+        rng = np.random.default_rng(5)
+        proba = random_proba(rng, (240, 320, 3), dtype, negative_zero=False)
+        result = assert_matches_unique_oracle(voxel_run_frame(np.zeros(240 * 320), proba))
+        assert result.codes.shape == (1,)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_many_single_pixel_runs(self, dtype):
+        rng = np.random.default_rng(6)
+        proba = random_proba(rng, (60, 80, 4), dtype, negative_zero=False)
+        voxel = rng.permutation(60 * 80)
+        voxel[rng.random(60 * 80) < 0.1] = -1
+        result = assert_matches_unique_oracle(voxel_run_frame(voxel, proba))
+        assert result.codes.shape == (np.count_nonzero(voxel >= 0),)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("negative_zero", [False, True])
+    def test_runs_around_eight_rows_and_the_cut(self, dtype, negative_zero):
+        lengths = [1, 2, 7, 8, 9, _STEP_ROWS - 1, _STEP_ROWS, _STEP_ROWS + 1,
+                   2 * _STEP_ROWS + 3]
+        rng = np.random.default_rng(7)
+        voxel = rng.permutation(np.repeat(np.arange(len(lengths)), lengths))
+        proba = random_proba(rng, (1, voxel.size, 3), dtype, negative_zero)
+        result = assert_matches_unique_oracle(voxel_run_frame(voxel, proba))
+        if negative_zero:
+            assert np.array_equal(result.means[:, 0].view(np.uint64), np.zeros(len(lengths)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.one_of(st.sampled_from([1, 7, 8, 9, _STEP_ROWS - 1, _STEP_ROWS,
+                                               _STEP_ROWS + 1]),
+                              st.integers(1, 3 * _STEP_ROWS)), min_size=1, max_size=24),
+           st.integers(0, 40),
+           st.sampled_from([np.float32, np.float64]),
+           st.booleans(), st.integers(2, 6))
+    def test_random_run_layouts(self, seed, lengths, invalid, dtype, negative_zero, channels):
+        rng = np.random.default_rng(seed)
+        voxel = rng.permutation(np.concatenate([
+            np.repeat(rng.permutation(4 * len(lengths))[:len(lengths)], lengths),
+            np.full(invalid, -1)]))
+        proba = random_proba(rng, (1, voxel.size, channels), dtype, negative_zero)
+        assert_matches_unique_oracle(voxel_run_frame(voxel, proba))
+
+    def test_roi_cut_keeps_pixel_order(self):
+        """Pixels dropped by the roi leave the remaining runs and their order intact."""
+        rng = np.random.default_rng(8)
+        voxel = rng.integers(0, 12, size=600)
+        proba = random_proba(rng, (1, 600, 3), np.float32, negative_zero=False)
+        roi = Box3((0.0, 0.0, 3.5), (1.0, 1.0, 9.5))  # z keys 3 ..= 9 (voxels 2 ..= 8)
+        result = assert_matches_unique_oracle(voxel_run_frame(voxel, proba), roi=roi)
+        assert result.pixels_skipped_roi == np.count_nonzero((voxel < 2) | (voxel > 8))
+
+
+def _ulp_shift(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([0.0025, 0.005, 0.01, 0.1, 1.0 / 3.0, 7.0]),
+                 st.floats(1e-6, 1e3)),
+       st.lists(st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(0, 2 ** 10),
+                          st.integers(-1, 1), st.integers(-1, 1)), min_size=3, max_size=3))
+def test_roi_key_bounds_match_float_centers(resolution, faces):
+    """Testing keys against the integer bounds gives roi.contains on the
+    voxel centers, for faces on a center and one ulp either side."""
+    lo_face, hi_face = [], []
+    for k, span, lo_ulps, hi_ulps in faces:
+        lo_face.append(_ulp_shift((k + 0.5) * resolution, lo_ulps))
+        hi_face.append(_ulp_shift((k + span + 0.5) * resolution, hi_ulps))
+    assume(all(a < b for a, b in zip(lo_face, hi_face)))
+    roi = Box3(tuple(lo_face), tuple(hi_face))
+    lo, hi = roi_key_bounds(roi, resolution)
+    near = [np.unique([k + d for k in (lo[a], hi[a], faces[a][0], faces[a][0] + faces[a][1])
+                       for d in range(-2, 3)]) for a in range(3)]
+    extremes = np.array([[-2 ** 63, 0, 2 ** 63 - 1], [2 ** 63 - 1, -2 ** 63, 1]])
+    for keys in (np.array(np.meshgrid(*near)).reshape(3, -1).T, extremes):
+        assert np.array_equal(keys_in_roi(keys, roi, resolution),
+                              roi.contains(voxel_center(keys, resolution)))
+
+
+@pytest.mark.parametrize("corner", [1e300, 2.0 ** 70])
+def test_roi_key_bounds_past_the_int64_range(corner):
+    roi = Box3((-corner, 0.0, corner / 2), (corner, 1.0, corner))
+    keys = np.array([[-2 ** 63, 0, 2 ** 63 - 1], [2 ** 63 - 1, 1, -2 ** 63], [5, 0, 0]])
+    assert np.array_equal(keys_in_roi(keys, roi, 0.5),
+                          roi.contains(voxel_center(keys, 0.5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(x * x for x in q) > 0.1),
+       st.tuples(*[st.floats(-1e3, 1e3)] * 3),
+       st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([(3,), (1, 3), (2, 3), (7, 3), (300, 3), (5000, 3), (4, 1, 3), (3, 5, 3)]))
+def test_pose_transform_is_the_literal_product(quaternion, translation, seed, shape):
+    """The contiguous transpose changes no bit, for one point or many."""
+    w, x, y, z = np.array(quaternion) / np.linalg.norm(quaternion)
+    rotation = np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
+    pose = Pose(rotation, translation)
+    points = np.random.default_rng(seed).normal(scale=3.0, size=shape)
+    expected = points @ pose.rotation.T + pose.translation
+    assert np.array_equal(pose.transform(points).view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(pose.rotate(points).view(np.uint64),
+                          (points @ pose.rotation.T).view(np.uint64))

@@ -379,6 +379,34 @@ class TestRendererOracles:
             assert np.array_equal(frame.depth, np.rint(depth * 1000.0) / 1000.0)
 
 
+class TestPixelRays:
+    def test_built_once_per_intrinsics_and_read_only(self):
+        rays = simulator._pixel_rays(INTR_ODD)
+        assert simulator._pixel_rays(CameraIntrinsics(9.0, 7.0, 6.0, 4.0, 13, 9)) is rays
+        assert not rays.flags.writeable
+        with pytest.raises(ValueError):
+            rays[0, 0] = 1.0
+
+    @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (3, 2)])
+    def test_tiny_images_render_bit_equal(self, size):
+        """A one-pixel image rotates a single ray, which keeps the strided
+        transpose (see Pose.rotate); the others use the contiguous copy. The
+        eye sits inside a box, so every ray hits and its depth shows the
+        direction's last bits; about one rotation in twenty shows a wrong
+        single-ray transpose."""
+        from scipy.spatial.transform import Rotation
+
+        box = Box3((-0.7, -0.4, -0.9), (0.6, 0.8, 0.3))
+        scene = scene_of([(4, box), (2, Box3((-0.2, -0.1, 0.1), (0.1, 0.3, 0.25)))])
+        width, height = size
+        intr = CameraIntrinsics(fx=1.5, fy=1.25, cx=width / 3, cy=height / 3,
+                                width=width, height=height)
+        rng = np.random.default_rng(17)
+        for rotation in Rotation.random(300, random_state=17).as_matrix():
+            eye = [lo + f * (hi - lo) for lo, hi, f in zip(box.min, box.max, rng.random(3))]
+            assert_same_render(scene, Pose(rotation, eye), intr)
+
+
 class TestRenderOncePerPose:
     def test_simulate_writes_the_oracle_stream(self, bin_scene, intrinsics,
                                                noise_model, tmp_path):
