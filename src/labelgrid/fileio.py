@@ -37,10 +37,18 @@ def quantize_depth_mm(depth_m) -> np.ndarray:
     return mm.astype(np.uint16)
 
 
+def _check_sizes(path, names: tuple, shape: tuple) -> None:
+    """Refuse to write an image with a zero size, which its reader rejects."""
+    for name, size in zip(names, shape):
+        if size == 0:
+            raise ValueError(f"{path}: cannot write an image with {name} 0 (shape {shape})")
+
+
 def write_depth_pgm(path, depth_m) -> None:
     mm = quantize_depth_mm(depth_m)
     if mm.ndim != 2:
         raise ValueError(f"depth image must be 2-D, got shape {mm.shape}")
+    _check_sizes(path, ("height", "width"), mm.shape)
     height, width = mm.shape
     header = f"P5\n{width} {height}\n65535\n".encode("ascii")
     Path(path).write_bytes(header + mm.astype(">u2").tobytes())
@@ -91,6 +99,7 @@ def write_probimg(path, values) -> None:
     arr = np.asarray(values, dtype=np.float32)
     if arr.ndim != 3:
         raise ValueError(f"channel image must be (H, W, C), got shape {arr.shape}")
+    _check_sizes(path, ("height", "width", "channels"), arr.shape)
     h, w, c = arr.shape
     with Path(path).open("wb") as f:
         f.write(f"PROBIMG1 {h} {w} {c}\n".encode("ascii"))
@@ -133,7 +142,8 @@ def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
     cells = np.empty(len(grid), dtype=_lgrid_cell_dtype(grid.num_labels))
     cells["key"] = unpack_codes(grid.codes)
     cells["log_odds"] = grid.log_odds_matrix
-    parts.append(cells.tobytes())
+    # the join reads the cell array's buffer: no intermediate bytes copy
+    parts.append(cells)
     return b"".join(parts)
 
 

@@ -86,11 +86,6 @@ class Pose:
         ``points @ rotation.T + translation``, bit for bit (see :meth:`rotate`)."""
         return self.rotate(points) + self.translation
 
-    def inverse_transform(self, points: np.ndarray) -> np.ndarray:
-        """Map world-frame points back into the camera frame."""
-        pts = np.asarray(points, dtype=float)
-        return (pts - self.translation) @ self.rotation
-
 
 def rotation_angle(rotation: np.ndarray) -> float:
     """Axis-angle magnitude of a rotation matrix, in radians."""

@@ -16,7 +16,6 @@ axis (about +-5.2 km at 5 mm voxels); any other key raises ``ValueError``.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import Iterator, NamedTuple, Optional
@@ -66,54 +65,6 @@ def world_to_key(point, resolution: float) -> VoxelKey:
 def voxel_center(key, resolution: float) -> np.ndarray:
     """World coordinates of a voxel's center; also maps (N, 3) keys to (N, 3) centers."""
     return (np.asarray(key, dtype=float) + 0.5) * resolution
-
-
-def _first_key(predicate) -> int:
-    """Smallest int64 k with ``predicate(k)``, for a predicate that never turns
-    false as k grows; 2**63 when it holds for no int64 k."""
-    lo, hi = -(1 << 63), 1 << 63
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-@functools.lru_cache(maxsize=64)
-def roi_key_bounds(roi: Box3, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per axis, the smallest and largest int64 key whose voxel center lies in
-    the closed ``roi``, as two read-only int64 3-vectors ``(lo, hi)``.
-
-    The centers are :func:`voxel_center`'s float expression, which never
-    decreases as the key grows, so a key's center lies in the roi exactly
-    when ``lo <= key <= hi`` on every axis. An axis with no such key gets
-    ``lo = 1 > hi = 0``.
-    """
-    lo, hi = [], []
-    for axis in range(3):
-        first = _first_key(lambda k: voxel_center(k, resolution) >= roi.min[axis])
-        last = _first_key(lambda k: voxel_center(k, resolution) > roi.max[axis]) - 1
-        lo.append(first if first <= last else 1)
-        hi.append(last if first <= last else 0)
-    bounds = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
-    for b in bounds:
-        b.flags.writeable = False
-    return bounds
-
-
-def keys_in_roi(keys, roi: Box3, resolution: float) -> np.ndarray:
-    """Mask of the (N, 3) integer keys whose voxel center lies in the closed
-    ``roi``: ``roi.contains(voxel_center(keys, resolution))``, tested on the
-    keys against :func:`roi_key_bounds`."""
-    lo, hi = roi_key_bounds(roi, resolution)
-    inside = np.ones(keys.shape[0], dtype=bool)
-    # one column at a time: several times faster than an (N, 3) mask and .all()
-    for axis in range(3):
-        column = keys[:, axis]
-        inside &= (column >= lo[axis]) & (column <= hi[axis])
-    return inside
 
 
 def _key_range_error(key) -> ValueError:
@@ -188,8 +139,8 @@ class LabelOccupancyGrid:
     clamp : float
         Symmetric log-odds saturation bound, > 0 (may be ``inf``).
     roi : Box3, optional
-        Updates for voxels whose center lies outside this box are
-        discarded and counted in ``discarded_updates``.
+        Metadata kept in snapshots. Registration drops the voxels outside
+        it; the grid stores every cell it is given.
     """
 
     def __init__(self, resolution: float, num_labels: int,
@@ -209,7 +160,6 @@ class LabelOccupancyGrid:
         self._num_labels = num_labels
         self.clamp = clamp
         self.roi = roi
-        self.discarded_updates = 0
         self._codes = np.empty(0, dtype=np.int64)
         self._values = np.empty((0, num_labels))
 
@@ -271,8 +221,8 @@ class LabelOccupancyGrid:
         :func:`~labelgrid.registration.register_frame` returns it) and
         ``probs`` an ``(N, num_labels)`` array of probabilities strictly
         inside (0, 1). Every cell gets ``clip(row + log(p / (1 - p)), -clamp,
-        clamp)``; voxels without a cell start from zero. Voxels whose center
-        lies outside the roi are dropped and counted.
+        clamp)``; voxels without a cell start from zero. Every voxel is
+        stored, whether or not its center lies in the roi.
         """
         codes = _sorted_codes(codes)
         p = np.asarray(probs, dtype=float)
@@ -281,10 +231,6 @@ class LabelOccupancyGrid:
                              f"got shape {p.shape}")
         if not ((p > 0.0) & (p < 1.0)).all():
             raise ValueError("measurement probabilities must lie strictly in (0, 1)")
-        if self.roi is not None:
-            inside = keys_in_roi(unpack_codes(codes), self.roi, self._resolution)
-            self.discarded_updates += int(codes.shape[0] - np.count_nonzero(inside))
-            codes, p = codes[inside], p[inside]
         delta = np.subtract(1.0, p)
         np.log(np.divide(p, delta, out=delta), out=delta)
         rows = self._codes.searchsorted(codes)
@@ -303,16 +249,13 @@ class LabelOccupancyGrid:
     def update_voxel(self, key, label: int, measurement_p: float) -> None:
         """Add one measurement for (voxel, label); other labels unchanged.
 
-        Updates outside the roi are silently dropped and counted. A new
-        cell is inserted into the sorted arrays, so building a large grid
-        one voxel at a time is quadratic; fuse frames with :meth:`update`.
+        The voxel is stored even outside the roi. A new cell is inserted
+        into the sorted arrays, so building a large grid one voxel at a
+        time is quadratic; fuse frames with :meth:`update`.
         """
         code = pack_key(key)
         label = self._check_label(label)
         delta = logit(measurement_p)
-        if self.roi is not None and not keys_in_roi(np.array([key]), self.roi, self._resolution)[0]:
-            self.discarded_updates += 1
-            return
         row = int(self._codes.searchsorted(code))
         if row == self._codes.shape[0] or self._codes[row] != code:
             self._codes = np.insert(self._codes, row, code)

@@ -5,10 +5,13 @@ and the camera pose. Registration deprojects every valid-depth pixel
 through the pinhole model, transforms it to world coordinates, bins it
 into a voxel, and averages the probability vectors of pixels that land in
 the same voxel so each voxel receives exactly one measurement per frame.
+Voxels whose center lies outside the region of interest are dropped here,
+the one place the pipeline applies the roi.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -16,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import Box3, Pose
-from .grid import VoxelKey, keys_in_roi, pack_keys, unpack_codes
+from .grid import VoxelKey, pack_keys, unpack_codes, voxel_center
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,54 @@ def _run_means(rows: np.ndarray, pixel: np.ndarray, starts: np.ndarray) -> np.nd
     return means
 
 
+def _first_key(predicate) -> int:
+    """Smallest int64 k with ``predicate(k)``, for a predicate that never turns
+    false as k grows; 2**63 when it holds for no int64 k."""
+    lo, hi = -(1 << 63), 1 << 63
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+@functools.lru_cache(maxsize=64)
+def roi_key_bounds(roi: Box3, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per axis, the smallest and largest int64 key whose voxel center lies in
+    the closed ``roi``, as two read-only int64 3-vectors ``(lo, hi)``.
+
+    The centers are :func:`voxel_center`'s float expression, which never
+    decreases as the key grows, so a key's center lies in the roi exactly
+    when ``lo <= key <= hi`` on every axis. An axis with no such key gets
+    ``lo = 1 > hi = 0``.
+    """
+    lo, hi = [], []
+    for axis in range(3):
+        first = _first_key(lambda k: voxel_center(k, resolution) >= roi.min[axis])
+        last = _first_key(lambda k: voxel_center(k, resolution) > roi.max[axis]) - 1
+        lo.append(first if first <= last else 1)
+        hi.append(last if first <= last else 0)
+    bounds = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    for b in bounds:
+        b.flags.writeable = False
+    return bounds
+
+
+def keys_in_roi(keys, roi: Box3, resolution: float) -> np.ndarray:
+    """Mask of the (N, 3) integer keys whose voxel center lies in the closed
+    ``roi``: ``roi.contains(voxel_center(keys, resolution))``, tested on the
+    keys against :func:`roi_key_bounds`."""
+    lo, hi = roi_key_bounds(roi, resolution)
+    inside = np.ones(keys.shape[0], dtype=bool)
+    # one column at a time: several times faster than an (N, 3) mask and .all()
+    for axis in range(3):
+        column = keys[:, axis]
+        inside &= (column >= lo[axis]) & (column <= hi[axis])
+    return inside
+
+
 def register_frame(frame: SensorFrame, resolution: float,
                    roi: Optional[Box3] = None) -> RegistrationResult:
     """Bin every valid-depth pixel of a frame into world-space voxels.
@@ -194,7 +245,7 @@ def register_frame(frame: SensorFrame, resolution: float,
     Pixels landing in the same voxel are averaged (one measurement per
     voxel per frame). Voxels whose center falls outside ``roi`` are
     dropped and counted; the test runs on the integer keys against
-    :func:`~labelgrid.grid.roi_key_bounds` and gives the same answer as
+    :func:`roi_key_bounds` and gives the same answer as
     testing the float centers. Output is sorted by voxel key and
     deterministic: each voxel's sum starts at ``+0.0`` and adds its
     pixels' probability rows in float64, one at a time, in pixel

@@ -474,3 +474,15 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_internal_key_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):
+    """Input errors are ValueErrors naming the file and field; a KeyError is
+    a bug and must surface as one, not exit 2 as "missing required field"."""
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("labelgrid.cli.cmd_export", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["export", str(tmp_path / "g.lgrid"), "--label", "1",
+              "--out", str(tmp_path / "out.ply")])

@@ -142,6 +142,20 @@ class TestImageHeaderErrors:
                                              r"a positive integer"):
             reader(path)
 
+    @pytest.mark.parametrize("writer,shape,field", [
+        (write_probimg, (0, 0, 0), "height"),
+        (write_probimg, (2, 0, 3), "width"),
+        (write_probimg, (2, 3, 0), "channels"),
+        (write_depth_pgm, (0, 5), "height"),
+        (write_depth_pgm, (4, 0), "width"),
+    ])
+    def test_empty_image_not_written(self, tmp_path, writer, shape, field):
+        """The readers reject a zero size, so the writers refuse to make one."""
+        path = tmp_path / "image.bin"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*{field} 0"):
+            writer(path, np.zeros(shape))
+        assert not path.exists()
+
     @pytest.mark.parametrize("kind", sorted(IMAGE_READERS))
     @settings(max_examples=150, deadline=None)
     @given(cut=st.integers(0, 10 ** 6), flips=st.lists(st.tuples(st.integers(0, 10 ** 6),

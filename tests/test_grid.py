@@ -119,13 +119,16 @@ class TestUpdateVoxel:
             g.update_voxel((0, 0, 0), 1, 0.9)
         assert g.log_odds((0, 0, 0), 1) == 3.5
 
-    def test_roi_discard_counts(self):
-        g = LabelOccupancyGrid(1.0, 2, roi=Box3((0, 0, 0), (2, 2, 2)))
-        g.update_voxel((5, 5, 5), 1, 0.9)
-        assert len(g) == 0
-        assert g.discarded_updates == 1
-        g.update_voxel((1, 1, 1), 1, 0.9)
-        assert len(g) == 1
+    def test_roi_grid_stores_keys_outside_the_roi(self):
+        """Registration applies the roi; the grid stores what it is given."""
+        roi = Box3((0, 0, 0), (2, 2, 2))
+        keys = np.array([(1, 1, 1), (5, 5, 5)])
+        for g in (LabelOccupancyGrid(1.0, 2, roi=roi), LabelOccupancyGrid(1.0, 2)):
+            g.update(pack_keys(keys), np.full((2, 2), 0.9))
+            g.update_voxel((-3, 0, 0), 1, 0.9)
+            assert list(g.keys()) == [(-3, 0, 0), (1, 1, 1), (5, 5, 5)]
+            assert g.log_odds((5, 5, 5), 1) == pytest.approx(LN_9, abs=1e-12)
+            assert g.log_odds((-3, 0, 0), 1) == pytest.approx(LN_9, abs=1e-12)
 
     def test_label_out_of_range(self):
         g = LabelOccupancyGrid(0.01, 4)
@@ -356,7 +359,6 @@ def test_batched_update_matches_per_voxel_oracle(batches, data, clamp, with_roi)
     roi = Box3((-1.0, -1.0, -1.0), (1.0, 1.5, 0.75)) if with_roi else None
     grid = LabelOccupancyGrid(resolution, labels, clamp=clamp, roi=roi)
     cells: dict = {}
-    discarded = 0
     for batch in batches:
         keys = sorted(batch)
         probs = np.array(data.draw(st.lists(st.lists(unit_probs, min_size=labels,
@@ -364,8 +366,9 @@ def test_batched_update_matches_per_voxel_oracle(batches, data, clamp, with_roi)
                                             min_size=len(keys), max_size=len(keys))),
                          dtype=float).reshape(len(keys), labels)
         grid.update(pack_keys(np.array(keys, dtype=np.int64).reshape(-1, 3)), probs)
-        discarded += oracle_update(cells, roi, resolution, clamp, keys, probs)
-    assert grid.discarded_updates == discarded
+        # the grid's roi is metadata: the grid stores every key, as the
+        # oracle does without an roi
+        oracle_update(cells, None, resolution, clamp, keys, probs)
     assert list(grid.keys()) == sorted(cells)
     for key, vec in grid.items():
         assert vec.tobytes() == cells[tuple(key)].tobytes()

@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, deproject,
                        project, register_frame, softmax_image)
-from labelgrid.grid import keys_in_roi, pack_keys, roi_key_bounds, voxel_center
-from labelgrid.registration import _STEP_ROWS
+from labelgrid.grid import pack_keys, voxel_center
+from labelgrid.registration import _STEP_ROWS, keys_in_roi, roi_key_bounds
 from oracles import oracle_register
 
 E_OVER_E_PLUS_1 = 0.7310585786300049  # softmax of logits (1, 0)
@@ -352,7 +352,12 @@ def random_proba(rng, shape, dtype, negative_zero):
         # -0.0 passes the >= 0 check; a voxel whose rows are all -0.0 must
         # still average to +0.0, as a sum started from zeros does
         proba[..., 0] = -0.0
-        proba[..., 1] += (1.0 - proba.sum(axis=-1, dtype=np.float64)).astype(dtype)
+        # the residual goes to each row's largest entry, which it cannot
+        # turn negative
+        top = proba.argmax(axis=-1)[..., None]
+        residual = (1.0 - proba.sum(axis=-1, dtype=np.float64)).astype(dtype)[..., None]
+        np.put_along_axis(proba, top, np.take_along_axis(proba, top, axis=-1) + residual,
+                          axis=-1)
     return proba
 
 
@@ -405,6 +410,9 @@ class TestRunSums:
            st.integers(0, 40),
            st.sampled_from([np.float32, np.float64]),
            st.booleans(), st.integers(2, 6))
+    # a tiny channel 1 went negative when the generator put the residual there
+    @example(seed=165, lengths=[1, 1, 1, 1, 1, 1, 1, 7, 7, 7, 7, 7, 63, 63, 63, 114],
+             invalid=40, dtype=np.float32, negative_zero=True, channels=5)
     def test_random_run_layouts(self, seed, lengths, invalid, dtype, negative_zero, channels):
         rng = np.random.default_rng(seed)
         voxel = rng.permutation(np.concatenate([
