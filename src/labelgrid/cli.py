@@ -19,10 +19,14 @@ from .simulator import NoiseModel, load_scene, load_trajectory, simulate
 
 
 def _parse_roi(text: str) -> Box3:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 6:
-        raise ValueError("--roi expects 6 comma-separated numbers: x0,y0,z0,x1,y1,z1")
-    return Box3(tuple(parts[:3]), tuple(parts[3:]))
+    """The ``--roi`` box; a ``ValueError`` names the flag."""
+    try:
+        parts = [float(v) for v in text.split(",")]
+        if len(parts) != 6:
+            raise ValueError("expects 6 comma-separated numbers: x0,y0,z0,x1,y1,z1")
+        return Box3(tuple(parts[:3]), tuple(parts[3:]))
+    except ValueError as exc:
+        raise ValueError(f"--roi: {exc}") from None
 
 
 def _add_fusion_flags(p: argparse.ArgumentParser) -> None:

@@ -186,7 +186,12 @@ def grid_from_bytes(raw: bytes) -> LabelOccupancyGrid:
 
 
 def load_grid(path) -> LabelOccupancyGrid:
-    return grid_from_bytes(Path(path).read_bytes())
+    """Read an LGRID1 snapshot; a ``ValueError`` names the file."""
+    raw = Path(path).read_bytes()
+    try:
+        return grid_from_bytes(raw)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # --- JSON records ---------------------------------------------------------

@@ -93,6 +93,66 @@ def rotation_angle(rotation: np.ndarray) -> float:
     return math.acos(min(1.0, max(-1.0, (tr - 1.0) / 2.0)))
 
 
+def _quaternion(rotation: np.ndarray) -> np.ndarray:
+    """Unit quaternion ``(x, y, z, w)`` of a rotation matrix, by Shepperd's
+    method: the largest of the trace and the diagonal picks the pivot, so
+    no component is found by dividing by a small one."""
+    r = np.asarray(rotation, dtype=float)
+    trace = r[0, 0] + r[1, 1] + r[2, 2]
+    i = int(np.argmax([r[0, 0], r[1, 1], r[2, 2], trace]))
+    q = np.empty(4)
+    if i == 3:
+        q[:] = r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1], 1.0 + trace
+    else:
+        j, k = (i + 1) % 3, (i + 2) % 3
+        q[i] = 1.0 - trace + 2.0 * r[i, i]
+        q[j] = r[j, i] + r[i, j]
+        q[k] = r[k, i] + r[i, k]
+        q[3] = r[k, j] - r[j, k]
+    return q / np.linalg.norm(q)
+
+
+def _quaternion_product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Hamilton product of ``(..., 4)`` quaternions stored ``(x, y, z, w)``."""
+    pv, pw = p[..., :3], p[..., 3:]
+    qv, qw = q[..., :3], q[..., 3:]
+    return np.concatenate([pw * qv + qw * pv + np.cross(pv, qv),
+                           pw * qw - np.sum(pv * qv, axis=-1, keepdims=True)], axis=-1)
+
+
+def _rotation_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices ``(..., 3, 3)`` of unit quaternions ``(..., 4)``."""
+    x, y, z, w = np.moveaxis(q, -1, 0)
+    xx, yy, zz, ww = x * x, y * y, z * z, w * w
+    xy, xz, xw, yz, yw, zw = x * y, x * z, x * w, y * z, y * w, z * w
+    return np.stack([
+        np.stack([xx - yy - zz + ww, 2.0 * (xy - zw), 2.0 * (xz + yw)], axis=-1),
+        np.stack([2.0 * (xy + zw), -xx + yy - zz + ww, 2.0 * (yz - xw)], axis=-1),
+        np.stack([2.0 * (xz - yw), 2.0 * (yz + xw), -xx - yy + zz + ww], axis=-1),
+    ], axis=-2)
+
+
+def slerp(r0: np.ndarray, r1: np.ndarray, fractions) -> np.ndarray:
+    """Spherical linear interpolation between two rotation matrices
+    (Shoemake, SIGGRAPH 1985): one ``(3, 3)`` rotation per fraction, with 0
+    giving ``r0`` and 1 giving ``r1``, along the shorter arc.
+
+    It evaluates ``q0 · exp(f · log(q0⁻¹ q1))`` on unit quaternions. The
+    angle comes from ``atan2``, which stays accurate for nearly equal
+    rotations, where ``acos(w)`` loses half its digits. At exactly 180° both
+    arcs are equally short and either may be taken.
+    """
+    q0 = _quaternion(r0)
+    step = _quaternion_product(q0 * [-1.0, -1.0, -1.0, 1.0], _quaternion(r1))
+    if step[3] < 0.0:
+        step = -step
+    norm = float(np.linalg.norm(step[:3]))
+    axis = step[:3] / norm if norm > 0.0 else np.zeros(3)
+    half = np.asarray(fractions, dtype=float).reshape(-1, 1) * math.atan2(norm, step[3])
+    return _rotation_matrix(_quaternion_product(
+        q0, np.concatenate([axis * np.sin(half), np.cos(half)], axis=-1)))
+
+
 def look_at(eye, target, up=(0.0, 1.0, 0.0)) -> Pose:
     """Build a camera pose at ``eye`` whose optical axis points at ``target``.
 

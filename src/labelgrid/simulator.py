@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .geometry import Box3, Pose, look_at
+from .geometry import Box3, Pose, look_at, slerp
 from .registration import CameraIntrinsics, SensorFrame
 
 
@@ -124,16 +124,12 @@ def expand_trajectory(trajectory: Trajectory) -> list[ScheduledFrame]:
         for j in range(wp.hold_frames):
             schedule.append(ScheduledFrame(wp.pose, wp.timestamp + j * trajectory.frame_dt, False))
         if i + 1 < len(wps) and trajectory.transition_frames > 0:
-            # imported here: scipy is slow to import, and fuse, eval and export never need it
-            from scipy.spatial.transform import Rotation, Slerp
             nxt = wps[i + 1]
             start_t = wp.timestamp + (wp.hold_frames - 1) * trajectory.frame_dt
-            slerp = Slerp([0.0, 1.0],
-                          Rotation.from_matrix([wp.pose.rotation, nxt.pose.rotation]))
             n = trajectory.transition_frames
-            for k in range(1, n + 1):
-                frac = k / (n + 1)
-                rotation = slerp(frac).as_matrix()
+            fractions = [k / (n + 1) for k in range(1, n + 1)]
+            rotations = slerp(wp.pose.rotation, nxt.pose.rotation, fractions)
+            for frac, rotation in zip(fractions, rotations):
                 translation = (1.0 - frac) * wp.pose.translation + frac * nxt.pose.translation
                 schedule.append(ScheduledFrame(Pose(rotation, translation),
                                                start_t + frac * (nxt.timestamp - start_t), True))

@@ -192,6 +192,20 @@ class TestFuse:
         assert code == 0
         assert json.loads(out)["cells"] == 0
 
+    @pytest.mark.parametrize("roi, message", [
+        ("a,0,0,1,1,1", "could not convert string to float: 'a'"),
+        ("nan,0,0,1,1,1", "Box3 corners must be finite"),
+        ("1,1,1,0,0,0", "Box3 min (1.0, 1.0, 1.0) must be strictly below max"),
+        ("0,0,0,1,1", "expects 6 comma-separated numbers"),
+    ])
+    def test_bad_roi_exits_2_naming_the_flag(self, tmp_path, capsys, roi, message):
+        manifest = tmp_path / "manifest.json"
+        write_manifest(manifest, [])
+        code, _, err = run_cli(capsys, "fuse", manifest, "--roi", roi,
+                               "--out", tmp_path / "g.lgrid")
+        assert code == 2
+        assert err.startswith(f"error: --roi: {message}")
+
 
 ROI_ARG = "0,0,0,0.3,0.3,0.4"
 
@@ -383,6 +397,19 @@ class TestEval:
         assert all(b >= a for a, b in zip(per_view, per_view[1:]))
         assert per_view[-1] > per_view[0] > 0.0
 
+    def test_truncated_snapshot_in_a_curve_exits_2_naming_it(self, tmp_path, capsys):
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        for i in range(3):
+            save_grid(snapdir / f"frame_{i:04d}.lgrid", LabelOccupancyGrid(0.005, 40))
+        bad = snapdir / "frame_0001.lgrid"
+        bad.write_bytes(bad.read_bytes()[:-1])
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps([{"label": 1, "min": [0, 0, 0], "max": [1, 1, 1]}]))
+        code, _, err = run_cli(capsys, "eval", snapdir, "--boxes", boxes)
+        assert code == 2
+        assert err == f"error: {bad}: truncated LGRID1 snapshot\n"
+
     def test_mistyped_boxes_exit_2_naming_file_and_field(self, tmp_path, capsys):
         snapshot = tmp_path / "empty.lgrid"
         save_grid(snapshot, LabelOccupancyGrid(0.005, 40))
@@ -465,15 +492,31 @@ class TestExport:
         assert ply.read_text().splitlines()[8:] == expected
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    """scipy is needed only to interpolate moving frames, so fuse, eval and
-    export must not pay for importing it."""
+def scipy_modules_after(statements: str) -> str:
+    """The scipy modules loaded after running ``statements`` in a fresh
+    interpreter, as the printed sorted list."""
     src = str(Path(labelgrid.__file__).parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import labelgrid.cli; "
+    code = (f"import sys; sys.path.insert(0, {src!r}); {statements}; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True)
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip().splitlines()[-1]
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is a test-only dependency: the runtime needs numpy alone, and
+    importing it would cost every command about half a second."""
+    assert scipy_modules_after("import labelgrid.cli") == "[]"
+
+
+def test_simulating_moving_frames_leaves_scipy_unloaded(tmp_path):
+    """Moving frames are interpolated by the numpy slerp in geometry."""
+    paths = write_cli_inputs(tmp_path, transition_frames=2)
+    argv = ["simulate", "--scene", str(paths["scene"]),
+            "--trajectory", str(paths["trajectory"]), "--out", str(tmp_path / "stream")]
+    assert scipy_modules_after(
+        f"from labelgrid.cli import main; assert main({argv!r}) == 0") == "[]"
+    assert len(read_manifest(tmp_path / "stream" / "manifest.json")) == 22
 
 
 def test_internal_key_error_is_not_reported_as_bad_input(tmp_path, monkeypatch):

@@ -311,6 +311,19 @@ class TestLgridReaderHardening:
         with pytest.raises(ValueError, match="outside"):
             grid_from_bytes(lgrid_with_cells(header, cells))
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: raw[:-3], "truncated LGRID1 snapshot"),
+        (lambda raw: b"NOTGRID" + raw[7:], "not an LGRID1 snapshot"),
+        (lambda raw: raw + b"x", "1 trailing bytes"),
+        (lambda raw: raw[:7] + struct.pack("<d", -0.01) + raw[15:], "resolution must be"),
+    ], ids=["truncated", "magic", "trailing", "resolution"])
+    def test_load_grid_names_the_file(self, tmp_path, corrupt, message):
+        path = tmp_path / "frame_0007.lgrid"
+        path.write_bytes(corrupt(grid_to_bytes(populated_grid())))
+        with pytest.raises(ValueError) as info:
+            load_grid(path)
+        assert str(info.value).startswith(f"{path}: {message}")
+
     def test_extreme_keys_round_trip(self):
         grid = LabelOccupancyGrid(0.005, 2)
         keys = [(-(2 ** 20), 0, 0), (-(2 ** 20 - 1), 5, 2 ** 20 - 1), (2 ** 20 - 1, 0, 0)]

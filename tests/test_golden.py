@@ -69,7 +69,7 @@ GOLDEN = {
     "stream/depth_0019.pgm": "ae50a46461316e7ea6bf1f7b61b394724b98e67ac3aae5471747c987b8071dcd",
     "stream/depth_0020.pgm": "ae50a46461316e7ea6bf1f7b61b394724b98e67ac3aae5471747c987b8071dcd",
     "stream/depth_0021.pgm": "ae50a46461316e7ea6bf1f7b61b394724b98e67ac3aae5471747c987b8071dcd",
-    "stream/manifest.json": "8044d4e3a19fbce4ecee2ab0c2b2116d5ebd01ba23a898dc60a435cbaf1d23e1",
+    "stream/manifest.json": "b3ae142bcf144307e76737b8bf2dcf5ffefc0a171814af609c809f621cff0c1c",
     "stream/proba_0000.probimg": "96ee8545bf0286f9d521a44e4e791004d7e6bfcc180b31be026e56b65c728644",
     "stream/proba_0001.probimg": "c320bf60c069649e7fbd1865a9e50fe33889200da35dafe46c0bbcc362b68a7b",
     "stream/proba_0002.probimg": "f1daab5dc5103c4a48791783c1a3a8eb5b14ad5ddd7b124d1d243280abbd9495",

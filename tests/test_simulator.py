@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation, Slerp
 
 from labelgrid import (Box3, CameraIntrinsics, NoiseModel, Pose, Scene,
                        Trajectory, Waypoint, camera_velocity,
                        expand_trajectory, look_at, render_proba,
                        render_scene, simulate, simulate_frames)
 from labelgrid import simulator
+from labelgrid.geometry import slerp
 from labelgrid.simulator import frame_noise_key
 from oracles import (oracle_render_proba, oracle_render_scene,
                      oracle_simulate)
@@ -297,7 +299,6 @@ def boxes(draw):
 def rotations(draw):
     if draw(st.booleans()):
         return draw(st.sampled_from(AXIS_ROTATIONS))
-    from scipy.spatial.transform import Rotation
     q = [draw(st.floats(-1.0, 1.0)) for _ in range(4)]
     if np.linalg.norm(q) < 0.1:
         q = [0.0, 0.0, 0.0, 1.0]
@@ -309,6 +310,91 @@ def scenes(draw, max_label=3):
     labels = draw(st.lists(st.integers(1, max_label), max_size=3, unique=True))
     occluders = draw(st.lists(boxes(), max_size=2))
     return scene_of([(label, draw(boxes())) for label in labels], occluders)
+
+
+fractions = st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                     min_size=1, max_size=5)
+
+
+@st.composite
+def unit_axes(draw):
+    axis = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)])
+    assume(np.linalg.norm(axis) > 0.1)
+    return axis / np.linalg.norm(axis)
+
+
+# 180° about a coordinate axis or a face diagonal, exact; or about any axis
+half_turns = (st.sampled_from([m for m in AXIS_ROTATIONS if np.trace(m) == -1.0])
+              | unit_axes().map(lambda n: 2.0 * np.outer(n, n) - np.eye(3)))
+
+
+def scipy_slerp(r0, r1, fractions):
+    return Slerp([0.0, 1.0], Rotation.from_matrix([r0, r1]))(fractions).as_matrix()
+
+
+def arc(a, b):
+    """Angle of the rotation from ``a`` to ``b``; scipy's atan2 form stays
+    accurate near 180°, where ``rotation_angle``'s acos does not."""
+    return Rotation.from_matrix(a.T @ b).magnitude()
+
+
+def assert_matches_scipy(r0, r1, fractions):
+    got = slerp(r0, r1, fractions)
+    assert got.shape == (len(fractions), 3, 3)
+    assert np.max(np.abs(got - scipy_slerp(r0, r1, fractions))) <= 1e-12
+    return got
+
+
+class TestSlerp:
+    """The numpy slerp against scipy's ``Slerp`` as the oracle, elementwise."""
+
+    @pytest.mark.parametrize("transitions", [2, 10])
+    def test_benchmark_waypoints(self, transitions):
+        from conftest import make_trajectory
+        trajectory = make_trajectory(transitions)
+        fracs = [k / (transitions + 1) for k in range(1, transitions + 1)]
+        rotations = [wp.pose.rotation for wp in trajectory.waypoints]
+        for r0, r1 in itertools.permutations(rotations, 2):
+            assert_matches_scipy(r0, r1, fracs)
+        moving = [s.pose.rotation for s in expand_trajectory(trajectory) if s.moving]
+        want = [slerp(r0, r1, fracs) for r0, r1 in itertools.pairwise(rotations)]
+        assert np.array_equal(moving, np.concatenate(want))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rotations(), rotations(), fractions)
+    def test_random_pairs(self, r0, r1, fracs):
+        # at exactly 180° either arc is right; see test_half_turn
+        assume(arc(r0, r1) < math.pi - 1e-9)
+        assert_matches_scipy(r0, r1, fracs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotations(), unit_axes(), st.floats(-12.0, -4.0), fractions)
+    def test_nearly_identical_pairs(self, r0, axis, log_angle, fracs):
+        r1 = r0 @ Rotation.from_rotvec(axis * 10.0 ** log_angle).as_matrix()
+        assert_matches_scipy(r0, r1, fracs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(rotations(), fractions)
+    def test_identical_pairs(self, r0, fracs):
+        got = assert_matches_scipy(r0, r0.copy(), fracs)
+        assert np.max(np.abs(got - r0)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotations(), unit_axes(), st.floats(-9.0, -3.0), fractions)
+    def test_nearly_opposite_pairs(self, r0, axis, log_gap, fracs):
+        r1 = r0 @ Rotation.from_rotvec(axis * (math.pi - 10.0 ** log_gap)).as_matrix()
+        assert_matches_scipy(r0, r1, fracs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotations(), half_turns, fractions)
+    def test_half_turn(self, r0, turn, fracs):
+        """Both arcs are equally short, so only the angles from each end are fixed."""
+        r1 = r0 @ turn
+        for f, r in zip(fracs, slerp(r0, r1, fracs)):
+            assert np.max(np.abs(r.T @ r - np.eye(3))) <= 1e-12
+            assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+            assert abs(arc(r0, r) - f * math.pi) <= 1e-12
+            assert abs(arc(r, r1) - (1.0 - f) * math.pi) <= 1e-12
 
 
 INTR_ODD = CameraIntrinsics(fx=9.0, fy=7.0, cx=6.0, cy=4.0, width=13, height=9)
@@ -394,8 +480,6 @@ class TestPixelRays:
         eye sits inside a box, so every ray hits and its depth shows the
         direction's last bits; about one rotation in twenty shows a wrong
         single-ray transpose."""
-        from scipy.spatial.transform import Rotation
-
         box = Box3((-0.7, -0.4, -0.9), (0.6, 0.8, 0.3))
         scene = scene_of([(4, box), (2, Box3((-0.2, -0.1, 0.1), (0.1, 0.3, 0.25)))])
         width, height = size
