@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -68,8 +69,17 @@ def cmd_fuse(args) -> int:
         snap_dir = Path(args.per_frame_snapshots)
         snap_dir.mkdir(parents=True, exist_ok=True)
 
+        previous = None
+
         def on_frame(index, item, fused):
-            fileio.save_grid(snap_dir / f"frame_{index:04d}.lgrid", grid)
+            # a gated frame leaves the grid as it was: copy the last snapshot
+            nonlocal previous
+            path = snap_dir / f"frame_{index:04d}.lgrid"
+            if fused or previous is None:
+                fileio.save_grid(path, grid)
+            else:
+                shutil.copyfile(previous, path)
+            previous = path
 
     stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)
     fileio.save_grid(args.out, grid)
@@ -113,11 +123,17 @@ def cmd_eval(args) -> int:
         if not paths:
             raise ValueError(f"{snapshot}: no .lgrid snapshots found")
         lines = ["snapshot,label,iou,v_tp,v_fp,v_fn,voxel_count"]
+        previous, rows = None, []
         for path in paths:
-            grid = fileio.load_grid(path)
-            for label, box in boxes:
-                row = _evaluate(grid, label, box)
-                lines.append(f"{path.name},{label},{row['iou']!r},{row['v_tp']!r},"
+            # a gated frame's snapshot repeats the one before it, so only a
+            # change from the previous file's bytes is parsed and scored
+            raw = path.read_bytes()
+            if raw != previous:
+                grid = fileio.grid_from_file_bytes(path, raw)
+                rows = [_evaluate(grid, label, box) for label, box in boxes]
+                previous = raw
+            for row in rows:
+                lines.append(f"{path.name},{row['label']},{row['iou']!r},{row['v_tp']!r},"
                              f"{row['v_fp']!r},{row['v_fn']!r},{row['voxel_count']}")
         text = "\n".join(lines) + "\n"
         if args.out:

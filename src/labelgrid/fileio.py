@@ -127,6 +127,9 @@ def read_probimg(path) -> np.ndarray:
 
 def _lgrid_cell_dtype(num_labels: int) -> np.dtype:
     """One LGRID1 cell: the voxel key as 3 x i32, then one f32 log-odds per label."""
+    # numpy sizes a structured dtype in a C int
+    if 12 + 4 * num_labels > 2 ** 31 - 1:
+        raise ValueError(f"an LGRID1 cell of {num_labels} labels exceeds 2 GiB")
     return np.dtype([("key", "<i4", (3,)), ("log_odds", "<f4", (num_labels,))])
 
 
@@ -141,14 +144,41 @@ def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
     # code order is key order, and every key fits in 21 bits, so in int32
     cells = np.empty(len(grid), dtype=_lgrid_cell_dtype(grid.num_labels))
     cells["key"] = unpack_codes(grid.codes)
-    cells["log_odds"] = grid.log_odds_matrix
+    # a value beyond the float32 range would be written as inf, which the reader rejects
+    with np.errstate(over="raise"):
+        try:
+            cells["log_odds"] = grid.log_odds_matrix
+        except FloatingPointError:
+            raise ValueError("a log-odds value exceeds the float32 range of LGRID1") from None
     # the join reads the cell array's buffer: no intermediate bytes copy
     parts.append(cells)
     return b"".join(parts)
 
 
 def save_grid(path, grid: LabelOccupancyGrid) -> None:
-    Path(path).write_bytes(grid_to_bytes(grid))
+    """Write an LGRID1 snapshot; a ``ValueError`` names the file."""
+    try:
+        raw = grid_to_bytes(grid)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    Path(path).write_bytes(raw)
+
+
+def _check_cells(log_odds: np.ndarray, clamp: float) -> None:
+    """Every float32 cell finite and within +-float32(clamp).
+
+    Cells are written as float32 of values clamped in float64, so the
+    bound is compared in float32: a float64 one would reject a clamp such
+    as 0.1 that rounds up in float32.
+    """
+    bound = np.float32(min(clamp, float(np.finfo(np.float32).max)))
+    # one comparison: NaN fails it, and +-inf fails it because the bound is finite
+    ok = np.abs(log_odds) <= bound
+    if not ok.all():
+        cell, label = np.unravel_index(np.argmin(ok), ok.shape)
+        value = log_odds[cell, label]
+        problem = "is not finite" if not np.isfinite(value) else f"exceeds the clamp {clamp}"
+        raise ValueError(f"cell {cell} label {label}: log-odds {value!s} {problem}")
 
 
 def grid_from_bytes(raw: bytes) -> LabelOccupancyGrid:
@@ -167,31 +197,40 @@ def grid_from_bytes(raw: bytes) -> LabelOccupancyGrid:
 
     resolution, num_labels, clamp = unpack("<dId")
     (roi_present,) = unpack("<B")
+    if roi_present not in (0, 1):
+        raise ValueError(f"roi flag must be 0 or 1, got {roi_present}")
     roi: Optional[Box3] = None
     if roi_present:
         coords = unpack("<6d")
         roi = Box3(coords[:3], coords[3:])
     (count,) = unpack("<Q")
     grid = LabelOccupancyGrid(resolution, num_labels, clamp=clamp, roi=roi)
+    cell_dtype = _lgrid_cell_dtype(num_labels)
     # Python ints: a huge count fails here, before anything is allocated
-    payload = count * (12 + 4 * num_labels)
+    payload = count * cell_dtype.itemsize
     if pos + payload > len(raw):
         raise ValueError("truncated LGRID1 snapshot")
     if pos + payload != len(raw):
         raise ValueError(f"{len(raw) - pos - payload} trailing bytes after LGRID1 payload")
     if count:
-        cells = np.frombuffer(raw, dtype=_lgrid_cell_dtype(num_labels), count=count, offset=pos)
+        cells = np.frombuffer(raw, dtype=cell_dtype, count=count, offset=pos)
+        _check_cells(cells["log_odds"], clamp)
         grid.set_cells(pack_keys(cells["key"]), cells["log_odds"])
     return grid
 
 
-def load_grid(path) -> LabelOccupancyGrid:
-    """Read an LGRID1 snapshot; a ``ValueError`` names the file."""
-    raw = Path(path).read_bytes()
+def grid_from_file_bytes(path, raw: bytes) -> LabelOccupancyGrid:
+    """:func:`grid_from_bytes` of the bytes read from ``path``; a
+    ``ValueError`` names the file."""
     try:
         return grid_from_bytes(raw)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def load_grid(path) -> LabelOccupancyGrid:
+    """Read an LGRID1 snapshot; a ``ValueError`` names the file."""
+    return grid_from_file_bytes(path, Path(path).read_bytes())
 
 
 # --- JSON records ---------------------------------------------------------

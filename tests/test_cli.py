@@ -11,7 +11,7 @@ import pytest
 
 import labelgrid
 from conftest import TARGET_LABEL, write_cli_inputs
-from labelgrid import fileio
+from labelgrid import Box3, fileio
 from labelgrid.cli import main
 from labelgrid.fileio import load_grid, read_manifest, save_grid, write_manifest
 from labelgrid.grid import LabelOccupancyGrid
@@ -328,6 +328,35 @@ class TestStreamingFuse:
         assert [p.read_bytes() for p in sorted(snapdir.glob("*.lgrid"))] == expected
         assert (tmp_path / "grid.lgrid").read_bytes() == expected[-1]
 
+    def test_gated_snapshots_repeat_the_previous_grid(self, tmp_path, capsys):
+        """Every per-frame file holds the grid as it stood after its frame,
+        also where a gated frame follows a fused one and its snapshot is
+        copied from the file before it."""
+        from conftest import BIN_ROI, NUM_LABELS, RESOLUTION
+        from labelgrid import GateConfig, fuse_stream
+        from labelgrid.fileio import grid_to_bytes, read_frame_records
+
+        manifest = simulate_stream(tmp_path, capsys, 1)["manifest"]
+        grid = LabelOccupancyGrid(RESOLUTION, NUM_LABELS, clamp=3.5, roi=BIN_ROI)
+        expected, fused = [], []
+
+        def capture(index, item, was_fused):
+            expected.append(grid_to_bytes(grid))
+            fused.append(was_fused)
+
+        fuse_stream(grid, read_frame_records(manifest), GateConfig(), on_frame=capture)
+        assert any(a and not b for a, b in zip(fused, fused[1:]))
+        assert len(set(expected)) > 2
+
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", manifest, "--roi", ROI_ARG,
+                               "--per-frame-snapshots", snapdir, "--out", tmp_path / "grid.lgrid")
+        assert code == 0, err
+        snaps = sorted(snapdir.glob("*.lgrid"))
+        assert [p.read_bytes() for p in snaps] == expected
+        # each snapshot is its own file, not a link to an earlier one
+        assert all(p.stat().st_nlink == 1 for p in snaps)
+
 
 class TestEval:
     def fuse(self, sim_run, tmp_path, capsys, **kw):
@@ -396,6 +425,42 @@ class TestEval:
         per_view = [ious[i] for i in (3, 7, 11, 15)]
         assert all(b >= a for a, b in zip(per_view, per_view[1:]))
         assert per_view[-1] > per_view[0] > 0.0
+
+    def test_curve_rescores_each_change_of_bytes(self, tmp_path, capsys):
+        """A, A, B, B, A with B the size of A but one later cell changed: the
+        curve equals scoring every file on its own."""
+        from labelgrid.cli import _evaluate
+
+        a = LabelOccupancyGrid(0.1, 3)
+        for ix in range(10):
+            a.update_voxel((ix, 0, 0), 1, 0.8 if ix < 9 else 0.3)
+            a.update_voxel((ix, 0, 0), 2, 0.6)
+        b = LabelOccupancyGrid(0.1, 3)
+        b.set_cells(a.codes, a.log_odds_matrix)
+        b.update_voxel((9, 0, 0), 1, 0.9)  # one more measurement of the last cell
+        snapdir = tmp_path / "snaps"
+        snapdir.mkdir()
+        for i, grid in enumerate([a, a, b, b, a]):
+            save_grid(snapdir / f"frame_{i:04d}.lgrid", grid)
+        paths = sorted(snapdir.glob("*.lgrid"))
+        assert len({p.stat().st_size for p in paths}) == 1
+        # only the last 24-byte cell differs
+        assert paths[0].read_bytes()[:-24] == paths[2].read_bytes()[:-24]
+        boxes = [(1, Box3((0.0, 0.0, 0.0), (1.0, 0.1, 0.1))),
+                 (2, Box3((0.0, 0.0, 0.0), (0.5, 0.1, 0.1)))]
+        boxes_path = tmp_path / "boxes.json"
+        boxes_path.write_text(json.dumps([{"label": label, "min": list(box.min),
+                                           "max": list(box.max)} for label, box in boxes]))
+
+        code, out, err = run_cli(capsys, "eval", snapdir, "--boxes", boxes_path)
+        assert code == 0, err
+        rows = {p.name: [_evaluate(load_grid(p), label, box) for label, box in boxes]
+                for p in paths}
+        assert rows["frame_0000.lgrid"] != rows["frame_0002.lgrid"]
+        expected = ["snapshot,label,iou,v_tp,v_fp,v_fn,voxel_count"] + [
+            f"{name},{r['label']},{r['iou']!r},{r['v_tp']!r},{r['v_fp']!r},{r['v_fn']!r},"
+            f"{r['voxel_count']}" for name, file_rows in rows.items() for r in file_rows]
+        assert out.splitlines() == expected
 
     def test_truncated_snapshot_in_a_curve_exits_2_naming_it(self, tmp_path, capsys):
         snapdir = tmp_path / "snaps"

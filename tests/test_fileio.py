@@ -335,6 +335,160 @@ class TestLgridReaderHardening:
         assert grid_to_bytes(loaded) == raw
 
 
+def small_snapshot(roi, clamp):
+    """LGRID1 bytes of a 12-cell grid, some cells saturated at +-clamp."""
+    grid = LabelOccupancyGrid(0.01, 3, clamp=clamp, roi=roi)
+    for i in range(12):
+        for _ in range(1 + i % 4):
+            grid.update_voxel((i - 6, i % 3, 2 * i), i % 3, 0.97 if i % 2 else 0.03)
+    return grid_to_bytes(grid)
+
+
+LGRID_BASES = {
+    "plain": small_snapshot(None, 3.5),
+    "roi": small_snapshot(Box3((-1, -2, -3), (1, 2, 3)), 3.5),
+    # float32(0.1) rounds up: saturated cells sit just above the float64 clamp
+    "clamp-0.1": small_snapshot(None, 0.1),
+    "clamp-inf-roi": small_snapshot(Box3((0, 0, 0), (1, 1, 1)), math.inf),
+}
+
+
+def lgrid_field(raw: bytes, name: str) -> tuple[int, str]:
+    """Offset and struct format of a header field of the snapshot ``raw``."""
+    roi = raw[COUNT_OFFSET - 1] == 1
+    if name.startswith("roi corner "):
+        return COUNT_OFFSET + 8 * int(name[-1]), "<d"
+    return {"resolution": (7, "<d"), "num_labels": (15, "<I"), "clamp": (19, "<d"),
+            "roi flag": (27, "<B"),
+            "cell count": (COUNT_OFFSET + (48 if roi else 0), "<Q")}[name]
+
+
+FIELD_NAMES = ["resolution", "num_labels", "clamp", "roi flag", "cell count",
+               *(f"roi corner {i}" for i in range(6))]
+FIELD_INTS = st.one_of(
+    st.sampled_from([0, 1, 2, 3, 2 ** 31, 2 ** 32 - 1, 2 ** 63, 2 ** 64 - 1, -1, -3]),
+    st.integers(-2 ** 63, 2 ** 64 - 1))
+FIELD_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, -1.0, 1e-300, 5e-324, 1e308, math.inf, -math.inf, math.nan]),
+    st.floats())
+LGRID_EDITS = st.one_of(
+    st.tuples(st.just("cut"), st.integers(0, 2000)),
+    st.tuples(st.just("flip"), st.integers(0, 2000), st.integers(0, 7)),
+    st.tuples(st.just("write"), st.integers(0, 2000), st.binary(min_size=1, max_size=8)),
+    st.tuples(st.just("field"), st.sampled_from(FIELD_NAMES), FIELD_INTS, FIELD_FLOATS))
+
+
+def edit_lgrid(raw: bytes, edits) -> bytes:
+    data = bytearray(raw)
+    for kind, *args in edits:
+        if kind == "cut":
+            del data[args[0] % (len(data) + 1):]
+        elif not data:
+            continue
+        elif kind == "flip":
+            data[args[0] % len(data)] ^= 1 << args[1]
+        elif kind == "write":
+            pos = args[0] % len(data)
+            data[pos:pos + len(args[1])] = args[1]
+        else:
+            offset, fmt = lgrid_field(raw, args[0])
+            if fmt == "<d":
+                value = struct.pack(fmt, args[2])
+            else:  # a negative number is written as its two's complement
+                value = struct.pack(fmt, args[1] % (1 << 8 * struct.calcsize(fmt)))
+            data[offset:offset + len(value)] = value
+    return bytes(data)
+
+
+class TestLgridFuzz:
+    """A damaged snapshot either fails to load with a ValueError naming the
+    file, or loads to a grid that writes back exactly the bytes read."""
+
+    def check(self, tmp_path_factory, data: bytes) -> None:
+        path = tmp_path_factory.mktemp("lgrid") / "frame_0003.lgrid"
+        path.write_bytes(data)
+        try:
+            grid = load_grid(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert grid_to_bytes(grid) == data
+
+    @pytest.mark.parametrize("base", sorted(LGRID_BASES))
+    def test_bases_round_trip(self, base):
+        assert grid_to_bytes(grid_from_bytes(LGRID_BASES[base])) == LGRID_BASES[base]
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.sampled_from(sorted(LGRID_BASES)),
+           edits=st.lists(LGRID_EDITS, min_size=1, max_size=4))
+    def test_damaged_snapshot(self, tmp_path_factory, base, edits):
+        self.check(tmp_path_factory, edit_lgrid(LGRID_BASES[base], edits))
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.sampled_from(sorted(LGRID_BASES)), name=st.sampled_from(FIELD_NAMES),
+           integer=FIELD_INTS, number=FIELD_FLOATS)
+    def test_header_field_overwritten(self, tmp_path_factory, base, name, integer, number):
+        self.check(tmp_path_factory,
+                   edit_lgrid(LGRID_BASES[base], [("field", name, integer, number)]))
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("num_labels", 2 ** 32 - 1, "an LGRID1 cell of 4294967295 labels exceeds 2 GiB"),
+        ("roi flag", 2, "roi flag must be 0 or 1, got 2"),
+        ("roi flag", 255, "roi flag must be 0 or 1, got 255"),
+    ])
+    def test_header_values_rejected(self, tmp_path, name, value, message):
+        raw = LGRID_BASES["plain"]
+        if name == "num_labels":  # with no cells, only the label count is wrong
+            raw = raw[:COUNT_OFFSET] + struct.pack("<Q", 0)
+        path = tmp_path / "g.lgrid"
+        path.write_bytes(edit_lgrid(raw, [("field", name, value, 0.0)]))
+        with pytest.raises(ValueError) as info:
+            load_grid(path)
+        assert str(info.value) == f"{path}: {message}"
+
+
+class TestLgridCellValues:
+    def cell_offset(self, raw: bytes, cell: int, label: int) -> int:
+        num_labels = struct.unpack_from("<I", raw, 15)[0]
+        cells = lgrid_field(raw, "cell count")[0] + 8
+        return cells + cell * (12 + 4 * num_labels) + 12 + 4 * label
+
+    @pytest.mark.parametrize("base, value, shown", [
+        ("roi", math.nan, "nan is not finite"),
+        ("roi", math.inf, "inf is not finite"),
+        ("roi", -math.inf, "-inf is not finite"),
+        ("roi", 1e30, "1e+30 exceeds the clamp 3.5"),
+        ("roi", -3.5001, "-3.5001 exceeds the clamp 3.5"),
+        ("clamp-inf-roi", math.inf, "inf is not finite"),
+    ])
+    def test_invalid_cell_names_file_cell_and_value(self, tmp_path, base, value, shown):
+        raw = bytearray(LGRID_BASES[base])
+        offset = self.cell_offset(raw, 7, 2)
+        raw[offset:offset + 4] = struct.pack("<f", value)
+        path = tmp_path / "frame_0009.lgrid"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            load_grid(path)
+        assert str(info.value) == f"{path}: cell 7 label 2: log-odds {shown}"
+
+    @pytest.mark.parametrize("clamp", [0.1, 0.3, 1 / 3, 3.5, 1e-30, 3e38, 1e39])
+    def test_cells_at_the_float32_clamp_load(self, clamp):
+        """A value clamped in float64 is within float32(clamp) after the cast."""
+        grid = LabelOccupancyGrid(0.01, 2, clamp=clamp)
+        value = min(clamp, 3e38)
+        grid.set_cells(np.array([5, 9]), [[value, -value], [-value, 0.0]])
+        raw = grid_to_bytes(grid)
+        assert grid_to_bytes(grid_from_bytes(raw)) == raw
+
+    def test_cell_beyond_float32_not_written(self, tmp_path):
+        grid = LabelOccupancyGrid(0.01, 2, clamp=math.inf)
+        grid.set_cells(np.array([5, 9]), [[0.0, 1.0], [1e39, 0.0]])
+        path = tmp_path / "g.lgrid"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*float32"):
+            save_grid(path, grid)
+        assert not path.exists()
+
+
 class TestManifestAndFrames:
     def test_simulate_emits_loadable_stream(self, tmp_path, bin_scene,
                                             intrinsics, noise_model):
