@@ -347,23 +347,39 @@ def read_manifest(path) -> list[dict]:
     return records
 
 
+def _check_frame_record(record) -> tuple[Pose, CameraIntrinsics, float, str]:
+    """Pose, intrinsics, timestamp and image field name of a manifest record,
+    checked without opening its files; a ``ValueError`` names the bad field."""
+    _object(record)
+    pose, intr, timestamp = _nested("pose", parse_pose_record, record.get("pose"))
+    if "timestamp" in record:
+        top_level = _number(record, "timestamp")
+        if top_level != timestamp:
+            raise ValueError(f"field 'timestamp' is {top_level!r} but "
+                             f"pose.timestamp is {timestamp!r}")
+    if "proba_file" not in record and "logits_file" not in record:
+        raise ValueError("needs a proba_file or logits_file")
+    image = "proba_file" if "proba_file" in record else "logits_file"
+    for name in ("depth_file", image):
+        if not isinstance(record.get(name), str):
+            raise ValueError(f"field {name!r} must be a file name, got {record.get(name)!r}")
+    return pose, intr, timestamp, image
+
+
 def load_frame(record: dict, base_dir) -> SensorFrame:
     """Materialize one manifest record into a SensorFrame, softmaxing a ``logits_file``.
 
     This is the one place frame images are decoded. A ``proba_file`` stays
-    float32 in the frame. An invalid frame raises ``ValueError`` naming the
-    probability or logit image.
+    float32 in the frame. A bad record raises ``ValueError`` naming the field,
+    an invalid frame one naming the probability or logit image.
     """
     base = Path(base_dir)
-    pose, intr, timestamp = parse_pose_record(record["pose"])
+    pose, intr, timestamp, image = _check_frame_record(record)
     depth = read_depth_pgm(base / record["depth_file"])
-    if "proba_file" not in record and "logits_file" not in record:
-        raise ValueError("manifest record needs a proba_file or logits_file")
-    logits = "proba_file" not in record
-    image_path = base / record["logits_file" if logits else "proba_file"]
-    image = read_probimg(image_path)
+    image_path = base / record[image]
+    values = read_probimg(image_path)
     try:
-        proba = softmax_image(image) if logits else image
+        proba = softmax_image(values) if image == "logits_file" else values
         return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr,
                            proba=proba)
     except ValueError as exc:
@@ -390,19 +406,7 @@ class FrameRecord:
         where = f"{manifest_path}: record {index}"
         if not isinstance(record, dict):
             raise ValueError(f"{where} must be a JSON object, got {record!r}")
-        pose, intr, timestamp = _nested(f"{where}: pose", parse_pose_record, record.get("pose"))
-        if "timestamp" in record:
-            top_level = _nested(where, lambda r: _number(r, "timestamp"), record)
-            if top_level != timestamp:
-                raise ValueError(f"{where}: field 'timestamp' is {top_level!r} but "
-                                 f"pose.timestamp is {timestamp!r}")
-        if "proba_file" not in record and "logits_file" not in record:
-            raise ValueError(f"{where}: needs a proba_file or logits_file")
-        image = "proba_file" if "proba_file" in record else "logits_file"
-        for name in ("depth_file", image):
-            if not isinstance(record.get(name), str):
-                raise ValueError(f"{where}: field {name!r} must be a file name, "
-                                 f"got {record.get(name)!r}")
+        pose, intr, timestamp, _ = _nested(where, _check_frame_record, record)
         return cls(record, Path(manifest_path).parent, timestamp, pose, intr)
 
     def load(self) -> SensorFrame:

@@ -585,6 +585,9 @@ class TestManifestAndFrames:
         write_manifest(tmp_path / "manifest.json", [good, bad])
         with pytest.raises(ValueError, match=re.escape(message)):
             read_frame_records(tmp_path / "manifest.json")
+        # decoding the record on its own runs the same check
+        with pytest.raises(ValueError, match=re.escape(message.removeprefix("record 1: "))):
+            load_frame(bad, tmp_path)
 
     def test_malformed_manifest_reports_line(self, tmp_path):
         path = tmp_path / "manifest.json"

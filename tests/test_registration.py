@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, deproject,
                        project, register_frame, softmax_image)
-from labelgrid.grid import pack_keys, voxel_center
-from labelgrid.registration import _STEP_ROWS, keys_in_roi, roi_key_bounds
+from labelgrid.grid import pack_keys
+from labelgrid.registration import _STEP_ROWS
 from oracles import oracle_register
 
 E_OVER_E_PLUS_1 = 0.7310585786300049  # softmax of logits (1, 0)
@@ -429,43 +429,6 @@ class TestRunSums:
         roi = Box3((0.0, 0.0, 3.5), (1.0, 1.0, 9.5))  # z keys 3 ..= 9 (voxels 2 ..= 8)
         result = assert_matches_unique_oracle(voxel_run_frame(voxel, proba), roi=roi)
         assert result.pixels_skipped_roi == np.count_nonzero((voxel < 2) | (voxel > 8))
-
-
-def _ulp_shift(x: float, steps: int) -> float:
-    for _ in range(abs(steps)):
-        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
-    return x
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(st.sampled_from([0.0025, 0.005, 0.01, 0.1, 1.0 / 3.0, 7.0]),
-                 st.floats(1e-6, 1e3)),
-       st.lists(st.tuples(st.integers(-2 ** 20, 2 ** 20), st.integers(0, 2 ** 10),
-                          st.integers(-1, 1), st.integers(-1, 1)), min_size=3, max_size=3))
-def test_roi_key_bounds_match_float_centers(resolution, faces):
-    """Testing keys against the integer bounds gives roi.contains on the
-    voxel centers, for faces on a center and one ulp either side."""
-    lo_face, hi_face = [], []
-    for k, span, lo_ulps, hi_ulps in faces:
-        lo_face.append(_ulp_shift((k + 0.5) * resolution, lo_ulps))
-        hi_face.append(_ulp_shift((k + span + 0.5) * resolution, hi_ulps))
-    assume(all(a < b for a, b in zip(lo_face, hi_face)))
-    roi = Box3(tuple(lo_face), tuple(hi_face))
-    lo, hi = roi_key_bounds(roi, resolution)
-    near = [np.unique([k + d for k in (lo[a], hi[a], faces[a][0], faces[a][0] + faces[a][1])
-                       for d in range(-2, 3)]) for a in range(3)]
-    extremes = np.array([[-2 ** 63, 0, 2 ** 63 - 1], [2 ** 63 - 1, -2 ** 63, 1]])
-    for keys in (np.array(np.meshgrid(*near)).reshape(3, -1).T, extremes):
-        assert np.array_equal(keys_in_roi(keys, roi, resolution),
-                              roi.contains(voxel_center(keys, resolution)))
-
-
-@pytest.mark.parametrize("corner", [1e300, 2.0 ** 70])
-def test_roi_key_bounds_past_the_int64_range(corner):
-    roi = Box3((-corner, 0.0, corner / 2), (corner, 1.0, corner))
-    keys = np.array([[-2 ** 63, 0, 2 ** 63 - 1], [2 ** 63 - 1, 1, -2 ** 63], [5, 0, 0]])
-    assert np.array_equal(keys_in_roi(keys, roi, 0.5),
-                          roi.contains(voxel_center(keys, 0.5)))
 
 
 @settings(max_examples=150, deadline=None)
