@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, deproject,
                        project, register_frame, softmax_image)
-from labelgrid.grid import pack_keys
+from labelgrid.grid import pack_keys, unpack_codes, voxel_center
 from labelgrid.registration import _STEP_ROWS
 from oracles import oracle_register
 
@@ -429,6 +429,62 @@ class TestRunSums:
         roi = Box3((0.0, 0.0, 3.5), (1.0, 1.0, 9.5))  # z keys 3 ..= 9 (voxels 2 ..= 8)
         result = assert_matches_unique_oracle(voxel_run_frame(voxel, proba), roi=roi)
         assert result.pixels_skipped_roi == np.count_nonzero((voxel < 2) | (voxel > 8))
+
+
+def _ulp_shift(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.inf if steps > 0 else -math.inf)
+    return x
+
+
+def spread_frame(rng, resolution):
+    """An 8 x 10 frame whose pixels land in a few hundred voxels on every
+    axis, negative keys included, at any resolution."""
+    h, w = 8, 10
+    intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=w, height=h)
+    depth = resolution * rng.uniform(1.0, 40.0, size=(h, w))
+    proba = random_proba(rng, (h, w, 3), np.float64, negative_zero=False)
+    pose = Pose(np.eye(3), resolution * rng.uniform(-200.0, 200.0, size=3))
+    return make_frame(depth, proba, intr, pose)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([0.0025, 0.005, 0.01, 0.1, 1.0 / 3.0, 7.0]),
+                 st.floats(1e-6, 1e3)),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), min_size=3, max_size=3))
+def test_roi_cut_matches_float_centers(resolution, seed, ulps):
+    """The per-axis roi cut keeps exactly the voxels whose float center
+    roi.contains, for faces on a center and one ulp either side."""
+    frame = spread_frame(np.random.default_rng(seed), resolution)
+    keys = unpack_codes(register_frame(frame, resolution).codes)
+    lo_face, hi_face = [], []
+    for axis, (lo_ulps, hi_ulps) in enumerate(ulps):
+        lo_key, hi_key = np.quantile(keys[:, axis], [0.25, 0.75], method="nearest")
+        lo_face.append(_ulp_shift(float(voxel_center(lo_key, resolution)), lo_ulps))
+        hi_face.append(_ulp_shift(float(voxel_center(hi_key, resolution)), hi_ulps))
+    assume(all(a < b for a, b in zip(lo_face, hi_face)))
+    roi = Box3(tuple(lo_face), tuple(hi_face))
+    result = assert_matches_unique_oracle(frame, resolution, roi)
+    vv, uu = np.indices(frame.depth.shape).reshape(2, -1)
+    d = frame.depth.reshape(-1)
+    pixel_keys = np.floor(frame.pose.transform(np.stack([uu * d, vv * d, d], axis=1))
+                          / resolution)
+    assert result.pixels_skipped_roi == np.count_nonzero(
+        ~roi.contains(voxel_center(pixel_keys, resolution)))
+
+
+@pytest.mark.parametrize("corner", [1e300, 2.0 ** 70])
+def test_roi_cut_past_the_int64_range(corner):
+    """Faces far past any voxel center keep every pixel or drop every pixel."""
+    frame = spread_frame(np.random.default_rng(9), 0.5)
+    valid = np.count_nonzero(frame.depth > 0)
+    everything = Box3((-corner,) * 3, (corner,) * 3)
+    assert assert_matches_unique_oracle(frame, 0.5, everything).pixels_skipped_roi == 0
+    beyond = Box3((-corner, -corner, corner / 2), (corner,) * 3)
+    result = register_frame(frame, 0.5, beyond)
+    assert result.codes.shape == (0,)
+    assert result.pixels_skipped_roi == valid
 
 
 @settings(max_examples=150, deadline=None)
