@@ -9,21 +9,15 @@ from .metrics import (ConfusionMatrix, IouReport, confusion, iou_3d, mean_iu,
 from .registration import (CameraIntrinsics, RegistrationResult, SensorFrame,
                            VoxelMeasurement, deproject, project,
                            register_frame, softmax_image)
-from .simulator import (NoiseModel, Scene, Trajectory, Waypoint,
-                        expand_trajectory, render_proba, render_scene,
-                        simulate, simulate_frames)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Box3", "CameraIntrinsics", "ConfusionMatrix", "FusionStats", "GateConfig",
-    "IouReport", "LabelOccupancyGrid", "NoiseModel", "Pose",
-    "RegistrationResult", "Scene", "SensorFrame", "Trajectory",
-    "VoxelKey", "VoxelMeasurement", "Waypoint",
-    "camera_velocity", "confusion", "deproject", "expand_trajectory",
-    "fuse_stream", "iou_3d", "logit", "look_at", "mean_iu",
-    "pixelwise_accuracy", "probability", "project", "register_frame",
-    "render_proba", "render_scene",
-    "rotation_angle", "simulate", "simulate_frames", "softmax_image",
+    "IouReport", "LabelOccupancyGrid", "Pose", "RegistrationResult",
+    "SensorFrame", "VoxelKey", "VoxelMeasurement",
+    "camera_velocity", "confusion", "deproject", "fuse_stream", "iou_3d",
+    "logit", "look_at", "mean_iu", "pixelwise_accuracy", "probability",
+    "project", "register_frame", "rotation_angle", "softmax_image",
     "voxel_center", "world_to_key",
 ]

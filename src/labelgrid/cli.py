@@ -14,9 +14,8 @@ import numpy as np
 from . import fileio
 from .fusion import DEFAULT_P_MIN, GateConfig, fuse_stream
 from .geometry import Box3
-from .grid import LabelOccupancyGrid, probability, unpack_codes
+from .grid import LabelOccupancyGrid, probability, unpack_codes, voxel_center
 from .metrics import iou_3d
-from .simulator import NoiseModel, load_scene, load_trajectory, simulate
 
 
 def _parse_roi(text: str) -> Box3:
@@ -48,6 +47,9 @@ def _add_fusion_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_simulate(args) -> int:
+    # only this command needs the renderer, so the others never import it
+    from .simulator import NoiseModel, load_scene, load_trajectory, simulate
+
     scene = load_scene(args.scene)
     trajectory, intrinsics = load_trajectory(args.trajectory)
     noise = NoiseModel(confidence=args.confidence, flip_rate=args.flip_rate, seed=args.seed)
@@ -88,7 +90,7 @@ def cmd_fuse(args) -> int:
               "roi": None if roi is None else list(roi.min + roi.max)}
     print(json.dumps({
         "config": config,
-        "stats": stats.as_dict(),
+        "stats": dataclasses.asdict(stats),
         "cells": len(grid),
         # registration drops every voxel outside the roi, so the grid
         # discards nothing; the key stays because perfbench/run.py checks it
@@ -104,7 +106,7 @@ def _evaluate(grid: LabelOccupancyGrid, label: int, box: Box3) -> dict:
     centroid = grid.centroid(label, segment)
     return {
         "label": label,
-        **report.as_dict(),
+        **dataclasses.asdict(report),
         "centroid": None if centroid is None else [float(c) for c in centroid],
         "voxel_count": len(segment),
     }
@@ -158,7 +160,7 @@ def cmd_export(args) -> int:
     # the scalar sigmoid keeps the printed probabilities bit-exact
     probs = np.array([probability(v) for v in grid.label_log_odds(args.label).tolist()])
     keep = probs > args.threshold
-    points = grid.voxel_center(unpack_codes(grid.codes[keep]))
+    points = voxel_center(unpack_codes(grid.codes[keep]), grid.resolution)
     fileio.write_ply(args.out, points, probs[keep])
     print(f"wrote {np.count_nonzero(keep)} vertices to {args.out}")
     return 0

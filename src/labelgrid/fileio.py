@@ -371,11 +371,16 @@ def load_frame(record: dict, base_dir) -> SensorFrame:
 
     This is the one place frame images are decoded. A ``proba_file`` stays
     float32 in the frame. A bad record raises ``ValueError`` naming the field,
-    an invalid frame one naming the probability or logit image.
+    a depth image of the wrong size one naming that image, and any other
+    invalid frame one naming the probability or logit image.
     """
     base = Path(base_dir)
     pose, intr, timestamp, image = _check_frame_record(record)
-    depth = read_depth_pgm(base / record["depth_file"])
+    depth_path = base / record["depth_file"]
+    depth = read_depth_pgm(depth_path)
+    if depth.shape != (intr.height, intr.width):
+        raise ValueError(f"{depth_path}: depth shape {depth.shape} does not match "
+                         f"intrinsics {(intr.height, intr.width)}")
     image_path = base / record[image]
     values = read_probimg(image_path)
     try:

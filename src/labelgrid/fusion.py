@@ -9,7 +9,8 @@ thresholds. The very first frame of a stream counts as stationary.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
 import numpy as np
@@ -33,9 +34,11 @@ class GateConfig:
         if self.linear_eps < 0 or self.angular_eps < 0 or math.isnan(self.linear_eps) \
                 or math.isnan(self.angular_eps):
             raise ValueError("velocity thresholds must be >= 0")
-        if int(self.settle_frames) < 1:
-            raise ValueError("settle_frames must be >= 1")
-        object.__setattr__(self, "settle_frames", int(self.settle_frames))
+        settle = self.settle_frames
+        if isinstance(settle, bool) or not isinstance(settle, numbers.Real) \
+                or not float(settle).is_integer() or settle < 1:
+            raise ValueError(f"settle_frames must be an integer >= 1, got {settle!r}")
+        object.__setattr__(self, "settle_frames", int(settle))
 
     @classmethod
     def disabled(cls) -> "GateConfig":
@@ -63,9 +66,6 @@ class FusionStats:
     frames_gated: int = 0
     pixels_skipped_depth: int = 0
     pixels_skipped_roi: int = 0
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def camera_velocity(prev_pose: Pose, prev_time: float,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -124,7 +124,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 class LabelOccupancyGrid:
-    """Sparse association voxel key -> per-label log-odds vector.
+    """Sparse voxel grid with one log-odds value per label for each stored cell.
 
     Cells are stored as a sorted int64 code array (see :func:`pack_key`)
     and an ``(N, num_labels)`` float64 log-odds matrix with one row per
@@ -184,35 +184,11 @@ class LabelOccupancyGrid:
     def __len__(self) -> int:
         return self._codes.shape[0]
 
-    def __contains__(self, key) -> bool:
-        return self._find(pack_key(key)) >= 0
-
-    def keys(self) -> Iterator[VoxelKey]:
-        """Stored voxel keys in ascending key order."""
-        return (VoxelKey(*k) for k in unpack_codes(self._codes).tolist())
-
-    def items(self) -> Iterator[tuple[VoxelKey, np.ndarray]]:
-        """(key, read-only log-odds row) pairs in ascending key order."""
-        return zip(self.keys(), self.log_odds_matrix)
-
-    def world_to_key(self, point) -> VoxelKey:
-        return world_to_key(point, self._resolution)
-
-    def voxel_center(self, key) -> np.ndarray:
-        return voxel_center(key, self._resolution)
-
     def _check_label(self, label: int) -> int:
         label = int(label)
         if not 0 <= label < self._num_labels:
             raise ValueError(f"label {label} out of range [0, {self._num_labels - 1}]")
         return label
-
-    def _find(self, code: int) -> int:
-        """Row of ``code``, or -1 when the voxel has no cell."""
-        row = int(self._codes.searchsorted(code))
-        if row < self._codes.shape[0] and self._codes[row] == code:
-            return row
-        return -1
 
     def update(self, codes, probs) -> None:
         """Add one measurement vector per voxel, for a batch of distinct voxels.
@@ -264,15 +240,13 @@ class LabelOccupancyGrid:
         self._values[row, label] = min(max(value, -self.clamp), self.clamp)
 
     def log_odds(self, key, label: int) -> float:
-        row = self._find(pack_key(key))
+        """Stored log-odds for (voxel, label); 0.0 for untouched voxels."""
+        code = pack_key(key)
         label = self._check_label(label)
-        return 0.0 if row < 0 else float(self._values[row, label])
-
-    def log_odds_vector(self, key) -> np.ndarray:
-        row = self._find(pack_key(key))
-        if row < 0:
-            return np.zeros(self._num_labels)
-        return self._values[row].copy()
+        row = int(self._codes.searchsorted(code))
+        if row < self._codes.shape[0] and self._codes[row] == code:
+            return float(self._values[row, label])
+        return 0.0
 
     def voxel_probability(self, key, label: int) -> float:
         """Stored probability for (voxel, label); 0.5 for untouched voxels."""

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,9 +17,6 @@ class IouReport:
     v_fp: float
     v_fn: float
     iou: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def iou_3d(voxels, resolution: float, gt: Box3) -> IouReport:

@@ -41,8 +41,8 @@ class NoiseModel:
             raise ValueError(f"confidence must lie in (0.5, 1), got {self.confidence}")
         if not 0.0 <= self.flip_rate < 0.5:
             raise ValueError(f"flip_rate must lie in [0, 0.5), got {self.flip_rate}")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be a non-negative integer")
+        if not 0 <= int(self.seed) < 2 ** 64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
 
 

@@ -11,8 +11,8 @@ import json
 
 import pytest
 
-from labelgrid import (Box3, CameraIntrinsics, NoiseModel, Scene, Trajectory,
-                       Waypoint, look_at)
+from labelgrid import Box3, CameraIntrinsics, look_at
+from labelgrid.simulator import NoiseModel, Scene, Trajectory, Waypoint
 
 NUM_LABELS = 40
 TARGET_LABEL = 1

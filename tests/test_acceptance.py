@@ -15,12 +15,12 @@ import pytest
 from conftest import (RESOLUTION, TARGET_BOX, TARGET_LABEL, make_bin_scene,
                       make_trajectory, view_end_times, write_cli_inputs)
 from labelgrid import (Box3, CameraIntrinsics, ConfusionMatrix, GateConfig,
-                       LabelOccupancyGrid, NoiseModel, iou_3d, fuse_stream,
-                       logit, look_at, mean_iu, pixelwise_accuracy,
-                       probability, render_scene, simulate_frames,
+                       LabelOccupancyGrid, iou_3d, fuse_stream, logit,
+                       look_at, mean_iu, pixelwise_accuracy, probability,
                        softmax_image)
 from labelgrid.cli import main as cli_main
 from labelgrid.fileio import grid_to_bytes
+from labelgrid.simulator import NoiseModel, render_scene, simulate_frames
 
 INTR = CameraIntrinsics(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
 NOISE = NoiseModel(confidence=0.8, flip_rate=0.05, seed=42)

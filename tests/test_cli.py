@@ -14,7 +14,7 @@ from conftest import TARGET_LABEL, write_cli_inputs
 from labelgrid import Box3, fileio
 from labelgrid.cli import main
 from labelgrid.fileio import load_grid, read_manifest, save_grid, write_manifest
-from labelgrid.grid import LabelOccupancyGrid
+from labelgrid.grid import LabelOccupancyGrid, unpack_codes, voxel_center
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +79,16 @@ class TestSimulate:
         assert message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_seed_outside_64_bits_exits_2_before_writing(self, tmp_path, capsys, seed):
+        paths = write_cli_inputs(tmp_path)
+        code, _, err = run_cli(capsys, "simulate", "--scene", paths["scene"],
+                               "--trajectory", paths["trajectory"],
+                               "--seed", seed, "--out", tmp_path / "o")
+        assert code == 2
+        assert f"seed must be an integer in [0, 2**64), got {seed}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_rerun_same_seed_identical_bytes(self, tmp_path, capsys):
         paths = write_cli_inputs(tmp_path)
         blobs = []
@@ -138,9 +148,9 @@ class TestFuse:
         """The CLI file path and the in-memory library path agree to the byte."""
         from conftest import (NUM_LABELS, RESOLUTION, make_bin_scene,
                               make_trajectory)
-        from labelgrid import (CameraIntrinsics, GateConfig, NoiseModel,
-                               fuse_stream, simulate_frames)
+        from labelgrid import CameraIntrinsics, GateConfig, fuse_stream
         from labelgrid.fileio import grid_to_bytes
+        from labelgrid.simulator import NoiseModel, simulate_frames
 
         snapshot = tmp_path / "grid.lgrid"
         code, _, _ = run_cli(capsys, "fuse", sim_run["manifest"],
@@ -548,30 +558,38 @@ class TestExport:
                              "--threshold", 0.4, "--out", ply)
         assert code == 0
         expected = []
-        for key in sorted(loaded.keys()):
+        for key in unpack_codes(loaded.codes).tolist():
             p = loaded.voxel_probability(key, 2)
             if p > 0.4:
-                x, y, z = loaded.voxel_center(key)
+                x, y, z = voxel_center(key, loaded.resolution)
                 expected.append(f"{float(x)!r} {float(y)!r} {float(z)!r} {p!r}")
         assert expected
         assert ply.read_text().splitlines()[8:] == expected
 
 
-def scipy_modules_after(statements: str) -> str:
-    """The scipy modules loaded after running ``statements`` in a fresh
-    interpreter, as the printed sorted list."""
+def modules_after(statements: str, package: str) -> list[str]:
+    """The modules of ``package`` loaded after running ``statements`` in a
+    fresh interpreter, sorted."""
     src = str(Path(labelgrid.__file__).parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); {statements}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = (f"import json, sys; sys.path.insert(0, {src!r}); {statements}; "
+            f"print(json.dumps(sorted(m for m in sys.modules "
+            f"if m.split('.')[0] == {package!r})))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True)
-    return result.stdout.strip().splitlines()[-1]
+    return json.loads(result.stdout.strip().splitlines()[-1])
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     """scipy is a test-only dependency: the runtime needs numpy alone, and
     importing it would cost every command about half a second."""
-    assert scipy_modules_after("import labelgrid.cli") == "[]"
+    assert modules_after("import labelgrid.cli", "scipy") == []
+
+
+def test_importing_the_cli_leaves_the_simulator_unloaded():
+    """Only ``simulate`` renders: fuse, eval and export never import the renderer."""
+    loaded = modules_after("import labelgrid.cli", "labelgrid")
+    assert "labelgrid.cli" in loaded
+    assert "labelgrid.simulator" not in loaded
 
 
 def test_simulating_moving_frames_leaves_scipy_unloaded(tmp_path):
@@ -579,8 +597,8 @@ def test_simulating_moving_frames_leaves_scipy_unloaded(tmp_path):
     paths = write_cli_inputs(tmp_path, transition_frames=2)
     argv = ["simulate", "--scene", str(paths["scene"]),
             "--trajectory", str(paths["trajectory"]), "--out", str(tmp_path / "stream")]
-    assert scipy_modules_after(
-        f"from labelgrid.cli import main; assert main({argv!r}) == 0") == "[]"
+    assert modules_after(
+        f"from labelgrid.cli import main; assert main({argv!r}) == 0", "scipy") == []
     assert len(read_manifest(tmp_path / "stream" / "manifest.json")) == 22
 
 

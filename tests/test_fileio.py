@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, LabelOccupancyGrid, Pose,
-                       simulate, softmax_image)
+                       softmax_image)
 from labelgrid.fileio import (grid_from_bytes, grid_to_bytes, load_frame,
                               load_grid, pose_record, read_depth_pgm,
                               read_frame_records, read_manifest, read_probimg,
                               save_grid, write_depth_pgm, write_manifest, write_ply,
                               write_probimg)
-from labelgrid.simulator import simulate_frames
+from labelgrid.grid import unpack_codes
+from labelgrid.simulator import simulate, simulate_frames
 
 
 class TestDepthPgm:
@@ -223,7 +224,7 @@ class TestLgridSnapshot:
         assert loaded.num_labels == grid.num_labels
         assert loaded.clamp == grid.clamp
         assert loaded.roi == grid.roi
-        assert set(loaded.keys()) == set(grid.keys())
+        assert np.array_equal(loaded.codes, grid.codes)
         # float64 cells quantize to float32 exactly once: resaving is stable
         assert grid_to_bytes(loaded) == grid_to_bytes(grid)
         reloaded = grid_from_bytes(grid_to_bytes(loaded))
@@ -232,9 +233,9 @@ class TestLgridSnapshot:
     def test_cell_values_are_float32_of_originals(self, tmp_path):
         grid = populated_grid()
         loaded = grid_from_bytes(grid_to_bytes(grid))
-        for key, vec in grid.items():
-            assert np.array_equal(loaded.log_odds_vector(key),
-                                  vec.astype(np.float32).astype(float))
+        assert np.array_equal(loaded.codes, grid.codes)
+        assert np.array_equal(loaded.log_odds_matrix,
+                              grid.log_odds_matrix.astype(np.float32).astype(float))
 
     def test_infinite_clamp_round_trips(self):
         grid = populated_grid(clamp=math.inf)
@@ -331,7 +332,7 @@ class TestLgridReaderHardening:
             grid.update_voxel(key, 1, 0.8)
         raw = grid_to_bytes(grid)
         loaded = grid_from_bytes(raw)
-        assert list(loaded.keys()) == keys
+        assert unpack_codes(loaded.codes).tolist() == [list(key) for key in keys]
         assert grid_to_bytes(loaded) == raw
 
 
@@ -551,6 +552,14 @@ class TestManifestAndFrames:
         del record["logits_file"]
         with pytest.raises(ValueError, match="proba_file or logits_file"):
             load_frame(record, tmp_path)
+
+    def test_wrong_sized_depth_names_the_depth_file(self, tmp_path):
+        record = self.logits_record(tmp_path, np.zeros((4, 4, 5)))
+        write_depth_pgm(tmp_path / "depth.pgm", np.ones((3, 4)))
+        with pytest.raises(ValueError) as info:
+            load_frame(record, tmp_path)
+        assert str(info.value) == (f"{tmp_path / 'depth.pgm'}: depth shape (3, 4) "
+                                   "does not match intrinsics (4, 4)")
 
     def test_frame_records_parse_poses_without_reading_images(self, tmp_path):
         record = self.logits_record(tmp_path, np.zeros((3, 4, 5)))

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelgrid import (CameraIntrinsics, GateConfig, LabelOccupancyGrid, Pose,
                        SensorFrame, camera_velocity, fuse_stream)
 from labelgrid.fileio import grid_to_bytes
+from labelgrid.grid import unpack_codes
 
 INTR = CameraIntrinsics(fx=16.0, fy=16.0, cx=8.0, cy=8.0, width=16, height=16)
 
@@ -143,10 +146,8 @@ class TestFuseStream:
         fuse_stream(once, [frame1], GateConfig.disabled())
         twice = LabelOccupancyGrid(0.5, 2, clamp=math.inf)
         fuse_stream(twice, [frame1, frame2], GateConfig.disabled())
-        assert set(twice.keys()) == set(once.keys())
-        for key in once.keys():
-            assert np.array_equal(twice.log_odds_vector(key),
-                                  2.0 * once.log_odds_vector(key))
+        assert np.array_equal(twice.codes, once.codes)
+        assert np.array_equal(twice.log_odds_matrix, 2.0 * once.log_odds_matrix)
 
     def test_p_min_clamps_extreme_measurements(self):
         depth = np.full((16, 16), 1.0)
@@ -156,7 +157,7 @@ class TestFuseStream:
                             intrinsics=INTR, proba=proba)
         grid = LabelOccupancyGrid(0.5, 2, clamp=math.inf)
         fuse_stream(grid, [frame], GateConfig(settle_frames=1), p_min=1e-3)
-        key = next(iter(grid.keys()))
+        key = unpack_codes(grid.codes)[0]
         assert grid.log_odds(key, 1) == pytest.approx(math.log(0.999 / 0.001), abs=1e-9)
 
     def test_stats_track_skipped_pixels(self):
@@ -172,8 +173,10 @@ class TestFuseStream:
     def test_gate_config_validation(self):
         with pytest.raises(ValueError):
             GateConfig(linear_eps=-1.0)
-        with pytest.raises(ValueError):
-            GateConfig(settle_frames=0)
+        for settle in (0, 2.7, True, math.nan, math.inf):
+            with pytest.raises(ValueError, match="settle_frames"):
+                GateConfig(settle_frames=settle)
+        assert GateConfig(settle_frames=np.int64(3)).settle_frames == 3
         with pytest.raises(ValueError):
             fuse_stream(LabelOccupancyGrid(0.5, 2), [], p_min=0.7)
 
@@ -181,7 +184,7 @@ class TestFuseStream:
 def test_bin_scene_matches_per_voxel_oracle():
     """Fusing the occluded-bin scene equals the per-voxel pipeline bit for bit."""
     from conftest import NUM_LABELS, RESOLUTION, make_bin_scene, make_trajectory
-    from labelgrid import NoiseModel, simulate_frames
+    from labelgrid.simulator import NoiseModel, simulate_frames
     from oracles import oracle_lgrid_bytes, oracle_register, oracle_update
 
     scene = make_bin_scene()
@@ -198,7 +201,43 @@ def test_bin_scene_matches_per_voxel_oracle():
         oracle_update(cells, scene.roi, RESOLUTION, clamp, keys,
                       np.clip(means, p_min, 1.0 - p_min))
     assert len(grid) == len(cells) > 0
-    for key, vec in grid.items():
-        assert vec.tobytes() == cells[key].tobytes()
+    for key, vec in zip(unpack_codes(grid.codes).tolist(), grid.log_odds_matrix):
+        assert vec.tobytes() == cells[tuple(key)].tobytes()
     assert grid_to_bytes(grid) == oracle_lgrid_bytes(cells, RESOLUTION, NUM_LABELS,
                                                      clamp, scene.roi)
+
+
+TINY = CameraIntrinsics(fx=2.0, fy=2.0, cx=1.0, cy=1.0, width=2, height=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 1000), st.sampled_from(["still", "slide", "turn"])),
+                min_size=1, max_size=12),
+       st.integers(1, 4))
+def test_gate_fuses_after_settle_frames_still_frames(steps, settle):
+    """Frame i fuses iff frames i - settle + 1 .. i all exist and are
+    stationary; the first frame counts as stationary."""
+    frames, stationary = [], []
+    t, angle, x = 0.0, 0.0, 0.0
+    for index, (step_ms, motion) in enumerate(steps):
+        if index:
+            t += step_ms * 1e-3
+            # a move of 0.05 m or 0.1 rad within at most 1 s is far above 1e-3
+            x += 0.05 if motion == "slide" else 0.0
+            angle += 0.1 if motion == "turn" else 0.0
+        stationary.append(index == 0 or motion == "still")
+        frames.append(SensorFrame(timestamp=t, depth=np.ones((2, 2)),
+                                  pose=Pose(rot_z(angle), [x, 0.0, 0.0]), intrinsics=TINY,
+                                  proba=np.full((2, 2, 2), 0.5)))
+    expected = [i >= settle - 1 and all(stationary[i - settle + 1:i + 1])
+                for i in range(len(frames))]
+
+    seen = []
+    stats = fuse_stream(LabelOccupancyGrid(0.5, 2), frames, GateConfig(settle_frames=settle),
+                        on_frame=lambda i, item, fused: seen.append((i, item, fused)))
+    assert [i for i, _, _ in seen] == list(range(len(frames)))
+    assert all(item is frame for (_, item, _), frame in zip(seen, frames))
+    assert [fused for _, _, fused in seen] == expected
+    assert stats.frames_total == len(frames)
+    assert stats.frames_fused == sum(expected)
+    assert stats.frames_gated == len(frames) - sum(expected)

@@ -126,7 +126,7 @@ class TestUpdateVoxel:
         for g in (LabelOccupancyGrid(1.0, 2, roi=roi), LabelOccupancyGrid(1.0, 2)):
             g.update(pack_keys(keys), np.full((2, 2), 0.9))
             g.update_voxel((-3, 0, 0), 1, 0.9)
-            assert list(g.keys()) == [(-3, 0, 0), (1, 1, 1), (5, 5, 5)]
+            assert unpack_codes(g.codes).tolist() == [[-3, 0, 0], [1, 1, 1], [5, 5, 5]]
             assert g.log_odds((5, 5, 5), 1) == pytest.approx(LN_9, abs=1e-12)
             assert g.log_odds((-3, 0, 0), 1) == pytest.approx(LN_9, abs=1e-12)
 
@@ -145,8 +145,8 @@ class TestUpdateVoxel:
             a.update(np.array([pack_key(key)]), probs[None, :])
             for label in range(5):
                 b.update_voxel(key, label, probs[label])
-        for key, vec in a.items():
-            assert np.allclose(vec, b.log_odds_vector(key), atol=1e-12)
+        assert np.array_equal(a.codes, b.codes)
+        assert np.allclose(a.log_odds_matrix, b.log_odds_matrix, atol=1e-12)
 
 
 class TestVoxelProbability:
@@ -192,7 +192,8 @@ class TestSegment:
                            int(rng.integers(0, 3)),
                            float(rng.uniform(0.1, 0.9)))
         for label in range(3):
-            expected = [list(k) for k, vec in g.items() if vec[label] > 0.0]
+            expected = [key for key, vec in zip(unpack_codes(g.codes).tolist(),
+                                                g.log_odds_matrix) if vec[label] > 0.0]
             assert g.segment(label).tolist() == expected
 
 
@@ -319,7 +320,7 @@ class TestKeyRange:
     def test_extreme_keys_accepted(self, key):
         g = LabelOccupancyGrid(0.005, 2)
         g.update_voxel(key, 1, 0.9)
-        assert list(g.keys()) == [VoxelKey(*key)]
+        assert unpack_codes(g.codes).tolist() == [list(key)]
         assert g.log_odds(key, 1) == pytest.approx(LN_9, abs=1e-12)
 
     @pytest.mark.parametrize("key", [(KEY_LIMIT, 0, 0), (0, -KEY_LIMIT - 1, 0),
@@ -369,9 +370,10 @@ def test_batched_update_matches_per_voxel_oracle(batches, data, clamp, with_roi)
         # the grid's roi is metadata: the grid stores every key, as the
         # oracle does without an roi
         oracle_update(cells, None, resolution, clamp, keys, probs)
-    assert list(grid.keys()) == sorted(cells)
-    for key, vec in grid.items():
-        assert vec.tobytes() == cells[tuple(key)].tobytes()
+    keys = [tuple(key) for key in unpack_codes(grid.codes).tolist()]
+    assert keys == sorted(cells)
+    for key, vec in zip(keys, grid.log_odds_matrix):
+        assert vec.tobytes() == cells[key].tobytes()
 
 
 def test_update_rejects_unsorted_or_duplicate_codes():

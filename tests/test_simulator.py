@@ -9,13 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation, Slerp
 
-from labelgrid import (Box3, CameraIntrinsics, NoiseModel, Pose, Scene,
-                       Trajectory, Waypoint, camera_velocity,
-                       expand_trajectory, look_at, render_proba,
-                       render_scene, simulate, simulate_frames)
+from labelgrid import Box3, CameraIntrinsics, Pose, camera_velocity, look_at
 from labelgrid import simulator
 from labelgrid.geometry import slerp
-from labelgrid.simulator import frame_noise_key
+from labelgrid.simulator import (NoiseModel, Scene, Trajectory, Waypoint,
+                                 expand_trajectory, frame_noise_key,
+                                 render_proba, render_scene, simulate,
+                                 simulate_frames)
 from oracles import (oracle_render_proba, oracle_render_scene,
                      oracle_simulate)
 
@@ -206,6 +206,12 @@ class TestRenderProba:
             NoiseModel(flip_rate=0.5)
         with pytest.raises(ValueError):
             NoiseModel(seed=-1)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            NoiseModel(seed=2 ** 64)
+        # the largest seed still keys the Philox noise stream
+        labels = np.array([[0, 1], [2, 3]])
+        probs = render_proba(labels, NoiseModel(flip_rate=0.3, seed=2 ** 64 - 1), 4)
+        assert probs.shape == (2, 2, 4)
 
 
 class TestTrajectory:
