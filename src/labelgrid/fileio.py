@@ -11,6 +11,8 @@ grids serialize to equal bytes.
 from __future__ import annotations
 
 import json
+import mmap
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,20 +109,29 @@ def write_probimg(path, values) -> None:
 
 
 def read_probimg(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise ValueError(f"{path}: missing PROBIMG1 header line")
-    fields = raw[:newline].split()
-    if len(fields) != 4 or fields[0] != PROBIMG_MAGIC:
-        raise ValueError(f"{path}: malformed PROBIMG1 header {raw[:newline]!r}")
-    h, w, c = (_header_size(path, name, field)
-               for name, field in zip(("height", "width", "channels"), fields[1:]))
-    size, expected = len(raw) - newline - 1, h * w * c * 4
-    if size != expected:
-        raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")
-    # a float32 view of the file bytes: no copy, no widening
-    return np.frombuffer(raw, dtype="<f4", count=h * w * c, offset=newline + 1).reshape(h, w, c)
+    """A PROBIMG1 image as a read-only ``(H, W, C)`` float32 array.
+
+    The payload is memory-mapped read-only, not copied: it stays mapped,
+    holding one file descriptor, while the array or the frame that holds
+    it lives, and the file needs only read permission. Truncating or
+    rewriting the file while it is mapped can end the process with
+    SIGBUS, not a ``ValueError`` (so ``fuse`` does not exit with code 2).
+    """
+    with open(path, "rb") as f:
+        line = f.readline()
+        if not line.endswith(b"\n"):
+            raise ValueError(f"{path}: missing PROBIMG1 header line")
+        fields = line.split()
+        if len(fields) != 4 or fields[0] != PROBIMG_MAGIC:
+            raise ValueError(f"{path}: malformed PROBIMG1 header {line[:-1]!r}")
+        h, w, c = (_header_size(path, name, field)
+                   for name, field in zip(("height", "width", "channels"), fields[1:]))
+        size, expected = os.fstat(f.fileno()).st_size - len(line), h * w * c * 4
+        if size != expected:
+            raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")
+        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    # the array holds the only reference to the mapping, which closes with it
+    return np.frombuffer(mapped, dtype="<f4", count=h * w * c, offset=len(line)).reshape(h, w, c)
 
 
 # --- grid snapshots (LGRID1) ---------------------------------------------

@@ -190,6 +190,15 @@ def _run_means(rows: np.ndarray, pixel: np.ndarray, starts: np.ndarray) -> np.nd
     return means
 
 
+def _pinhole_axis(out: np.ndarray, coord: np.ndarray, center: float, focal: float,
+                  depth: np.ndarray) -> None:
+    """``out[:] = (coord - center) * depth / focal``, in place and in that
+    order, so the bits are those of the whole-array expression."""
+    np.subtract(coord, center, out=out)
+    np.multiply(out, depth, out=out)
+    np.divide(out, focal, out=out)
+
+
 def register_frame(frame: SensorFrame, resolution: float,
                    roi: Optional[Box3] = None) -> RegistrationResult:
     """Bin every valid-depth pixel of a frame into world-space voxels.
@@ -217,17 +226,26 @@ def register_frame(frame: SensorFrame, resolution: float,
     if skipped_depth == depth.size:
         return empty(0)
 
-    vv, uu = np.nonzero(valid)
-    d = depth[vv, uu]
-    cam = np.stack([
-        (uu - intr.cx) * d / intr.fx,
-        (vv - intr.cy) * d / intr.fy,
-        d,
-    ], axis=1)
-    world = frame.pose.transform(cam)
-    keys = np.floor(world / resolution).astype(np.int64)
     # the flat pixel index stands in for the probability row until the sums
-    pixel = vv * intr.width + uu
+    pixel = np.flatnonzero(valid)
+    del valid
+    vv, uu = np.divmod(pixel, intr.width)
+    d = np.take(depth, pixel)
+    # one (N, 3) buffer of camera points, filled in place; each temporary
+    # goes once it is dead
+    cam = np.empty((pixel.shape[0], 3))
+    _pinhole_axis(cam[:, 0], uu, intr.cx, intr.fx, d)
+    _pinhole_axis(cam[:, 1], vv, intr.cy, intr.fy, d)
+    cam[:, 2] = d
+    del vv, uu, d
+    # frame.pose.transform(cam), with the translation added in place
+    world = frame.pose.rotate(cam)
+    del cam
+    world += frame.pose.translation
+    world /= resolution
+    np.floor(world, out=world)
+    keys = world.astype(np.int64)
+    del world
 
     skipped_roi = 0
     if roi is not None:
@@ -238,13 +256,16 @@ def register_frame(frame: SensorFrame, resolution: float,
             keep &= (center >= roi.min[axis]) & (center <= roi.max[axis])
         skipped_roi = int(keys.shape[0] - np.count_nonzero(keep))
         keys, pixel = keys[keep], pixel[keep]
+        del keep
     if keys.shape[0] == 0:
         return empty(skipped_roi)
 
     codes = pack_keys(keys)
+    del keys
     # stable, so same-voxel pixels keep their row-major order in the sums
     order = np.argsort(codes, kind="stable")
     codes, pixel = codes[order], pixel[order]
+    del order
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     means = _run_means(frame.proba.reshape(-1, frame.num_labels), pixel, starts)
     return RegistrationResult(codes[starts], means, skipped_depth, skipped_roi)

@@ -11,6 +11,7 @@ fusion gate is expected to reject.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,13 @@ import numpy as np
 from . import fileio
 from .geometry import Box3, Pose, look_at, slerp
 from .registration import CameraIntrinsics, SensorFrame
+
+
+def _integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral real number; a bool,
+    which ``int()`` would turn into 0 or 1, is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,8 @@ class NoiseModel:
             raise ValueError(f"confidence must lie in (0.5, 1), got {self.confidence}")
         if not 0.0 <= self.flip_rate < 0.5:
             raise ValueError(f"flip_rate must lie in [0, 0.5), got {self.flip_rate}")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
+        if not (_integral(self.seed) and 0 <= self.seed < 2 ** 64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
 
@@ -74,8 +82,8 @@ class Waypoint:
     hold_frames: int = 1
 
     def __post_init__(self) -> None:
-        if int(self.hold_frames) < 1:
-            raise ValueError("hold_frames must be >= 1")
+        if not (_integral(self.hold_frames) and self.hold_frames >= 1):
+            raise ValueError(f"hold_frames must be an integer >= 1, got {self.hold_frames!r}")
         object.__setattr__(self, "hold_frames", int(self.hold_frames))
 
 
@@ -98,8 +106,9 @@ class Trajectory:
             raise ValueError("trajectory needs at least one waypoint")
         if self.frame_dt <= 0:
             raise ValueError("frame_dt must be positive")
-        if int(self.transition_frames) < 0:
-            raise ValueError("transition_frames must be >= 0")
+        if not (_integral(self.transition_frames) and self.transition_frames >= 0):
+            raise ValueError(f"transition_frames must be an integer >= 0, "
+                             f"got {self.transition_frames!r}")
         self.transition_frames = int(self.transition_frames)
         for prev, curr in zip(self.waypoints, self.waypoints[1:]):
             prev_end = prev.timestamp + (prev.hold_frames - 1) * self.frame_dt

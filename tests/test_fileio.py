@@ -104,6 +104,38 @@ class TestProbimg:
         write_probimg(path, np.full((2, 3, 4), 0.25))
         assert read_probimg(path).dtype == np.float32
 
+    def test_payload_is_mapped_not_copied(self, tmp_path):
+        path = tmp_path / "p.probimg"
+        write_probimg(path, np.random.default_rng(4).random((64, 64, 40)))
+        payload = 64 * 64 * 40 * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            image = read_probimg(path)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < payload // 100
+        assert image.dtype == np.float32 and image.shape == (64, 64, 40)
+        assert not image.flags.writeable
+        raw = path.read_bytes()
+        offset = raw.index(b"\n") + 1
+        assert np.array_equal(image.ravel(), np.frombuffer(raw, dtype="<f4", offset=offset))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"PROBIMG1 1 1 1", "missing PROBIMG1 header line"),
+        (b"", "missing PROBIMG1 header line"),
+        (b"PROBIMG1 1 1 1 " + b"1" * 200 + b"\n\x00\x00\x80\x3f", "malformed PROBIMG1 header"),
+        (b"\x00" * 300 + b"\n\x00\x00\x80\x3f", "malformed PROBIMG1 header"),
+    ])
+    def test_header_line_errors(self, tmp_path, data, message):
+        """No newline at all, and a first line longer than any header the
+        writer makes, are both header errors naming the file."""
+        path = tmp_path / "p.probimg"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: {message}"):
+            read_probimg(path)
+
 
 def read_or_error(reader, path):
     """The array the reader returns, or the message of the ValueError it

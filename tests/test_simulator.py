@@ -204,10 +204,12 @@ class TestRenderProba:
             NoiseModel(confidence=0.5)
         with pytest.raises(ValueError):
             NoiseModel(flip_rate=0.5)
-        with pytest.raises(ValueError):
-            NoiseModel(seed=-1)
-        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
-            NoiseModel(seed=2 ** 64)
+        # int() would truncate 2.7 to 2 and take True as 1
+        for seed in (-1, 2 ** 64, 2.7, True, math.nan):
+            with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+                NoiseModel(seed=seed)
+        assert NoiseModel(seed=np.int64(3)).seed == 3
+        assert NoiseModel(seed=3.0).seed == 3
         # the largest seed still keys the Philox noise stream
         labels = np.array([[0, 1], [2, 3]])
         probs = render_proba(labels, NoiseModel(flip_rate=0.3, seed=2 ** 64 - 1), 4)
@@ -244,6 +246,17 @@ class TestTrajectory:
         for s in schedule:
             r = s.pose.rotation
             assert np.allclose(r.T @ r, np.eye(3), atol=1e-9)
+
+    def test_frame_count_validation(self):
+        for hold in (0, 2.7, True, math.inf):
+            with pytest.raises(ValueError, match="hold_frames must be an integer >= 1"):
+                Waypoint(pose=Pose.identity(), timestamp=0.0, hold_frames=hold)
+        wp = Waypoint(pose=Pose.identity(), timestamp=0.0, hold_frames=np.int64(2))
+        assert wp.hold_frames == 2
+        for transitions in (-1, 1.9, True, math.nan):
+            with pytest.raises(ValueError, match="transition_frames must be an integer >= 0"):
+                Trajectory([wp], transition_frames=transitions)
+        assert Trajectory([wp], transition_frames=2.0).transition_frames == 2
 
     def test_overlapping_waypoints_rejected(self):
         a = Waypoint(pose=Pose.identity(), timestamp=0.0, hold_frames=4)
