@@ -2,8 +2,7 @@
 
 from .fusion import FusionStats, GateConfig, camera_velocity, fuse_stream
 from .geometry import Box3, Pose, look_at, rotation_angle
-from .grid import (LabelOccupancyGrid, VoxelKey, logit, probability,
-                   voxel_center, world_to_key)
+from .grid import LabelOccupancyGrid, VoxelKey, logit, probability, voxel_center
 from .metrics import (ConfusionMatrix, IouReport, confusion, iou_3d, mean_iu,
                       pixelwise_accuracy)
 from .registration import (CameraIntrinsics, RegistrationResult, SensorFrame,
@@ -19,5 +18,5 @@ __all__ = [
     "camera_velocity", "confusion", "deproject", "fuse_stream", "iou_3d",
     "logit", "look_at", "mean_iu", "pixelwise_accuracy", "probability",
     "project", "register_frame", "rotation_angle", "softmax_image",
-    "voxel_center", "world_to_key",
+    "voxel_center",
 ]

@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import mmap
 import os
+import re
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +26,11 @@ from .grid import LabelOccupancyGrid, pack_keys, unpack_codes
 from .registration import CameraIntrinsics, SensorFrame, softmax_image
 
 LGRID_MAGIC = b"LGRID1\n"
+# magic, resolution, label count, clamp, roi flag; then :func:`_lgrid_tail`
+_LGRID_HEAD = struct.Struct("<7sdIdB")
 PROBIMG_MAGIC = b"PROBIMG1"
+# magic, width, height and maxval, then the one whitespace byte before the raster
+_PGM_HEADER = re.compile(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?")
 
 
 # --- depth images (PGM P5, millimeters) ---------------------------------
@@ -69,26 +74,18 @@ def _header_size(path, name: str, token: bytes) -> int:
 def read_depth_pgm(path) -> np.ndarray:
     """Read a 16-bit PGM depth image back to meters (0 stays 0 = invalid)."""
     raw = Path(path).read_bytes()
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"{path}: truncated PGM header")
-        tokens.append(raw[start:pos])
-    pos += 1  # single whitespace byte separating header and raster
-    if tokens[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
+    header = _PGM_HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: truncated PGM header")
+    magic, *sizes = header.groups()
+    if magic != b"P5":
+        raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
     width, height, maxval = (_header_size(path, name, token)
-                             for name, token in zip(("width", "height", "maxval"), tokens[1:]))
+                             for name, token in zip(("width", "height", "maxval"), sizes))
     if maxval != 65535:
         raise ValueError(f"{path}: expected maxval 65535, got {maxval}")
     expected = width * height * 2
-    data = raw[pos:pos + expected]
+    data = raw[header.end():header.end() + expected]
     if len(data) != expected:
         raise ValueError(f"{path}: raster has {len(data)} bytes, expected {expected}")
     mm = np.frombuffer(data, dtype=">u2").reshape(height, width)
@@ -144,14 +141,18 @@ def _lgrid_cell_dtype(num_labels: int) -> np.dtype:
     return np.dtype([("key", "<i4", (3,)), ("log_odds", "<f4", (num_labels,))])
 
 
-def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
-    parts = [LGRID_MAGIC, struct.pack("<dId", grid.resolution, grid.num_labels, grid.clamp)]
-    if grid.roi is not None:
-        parts.append(struct.pack("<B", 1))
-        parts.append(struct.pack("<6d", *grid.roi.min, *grid.roi.max))
-    else:
-        parts.append(struct.pack("<B", 0))
-    parts.append(struct.pack("<Q", len(grid)))
+def _lgrid_tail(roi_flag: int) -> struct.Struct:
+    """The header part after ``_LGRID_HEAD``: the six roi coordinates
+    when the flag is 1, then the u64 cell count."""
+    return struct.Struct(f"<{6 * roi_flag}dQ")
+
+
+def _lgrid_parts(grid: LabelOccupancyGrid) -> tuple[bytes, np.ndarray]:
+    """The LGRID1 header and cell array of ``grid``."""
+    roi = () if grid.roi is None else (*grid.roi.min, *grid.roi.max)
+    flag = int(grid.roi is not None)
+    header = (_LGRID_HEAD.pack(LGRID_MAGIC, grid.resolution, grid.num_labels, grid.clamp, flag)
+              + _lgrid_tail(flag).pack(*roi, len(grid)))
     # code order is key order, and every key fits in 21 bits, so in int32
     cells = np.empty(len(grid), dtype=_lgrid_cell_dtype(grid.num_labels))
     cells["key"] = unpack_codes(grid.codes)
@@ -161,18 +162,20 @@ def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
             cells["log_odds"] = grid.log_odds_matrix
         except FloatingPointError:
             raise ValueError("a log-odds value exceeds the float32 range of LGRID1") from None
-    # the join reads the cell array's buffer: no intermediate bytes copy
-    parts.append(cells)
-    return b"".join(parts)
+    return header, cells
+
+
+def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
+    return b"".join(_lgrid_parts(grid))
 
 
 def save_grid(path, grid: LabelOccupancyGrid) -> None:
-    """Write an LGRID1 snapshot; a ``ValueError`` names the file."""
-    try:
-        raw = grid_to_bytes(grid)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    Path(path).write_bytes(raw)
+    """Write an LGRID1 snapshot; a ``ValueError`` names the file and leaves
+    no file behind."""
+    header, cells = _nested(str(path), _lgrid_parts, grid)
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(cells)
 
 
 def _check_cells(log_odds: np.ndarray, clamp: float) -> None:
@@ -195,26 +198,17 @@ def _check_cells(log_odds: np.ndarray, clamp: float) -> None:
 def grid_from_bytes(raw: bytes) -> LabelOccupancyGrid:
     if raw[:len(LGRID_MAGIC)] != LGRID_MAGIC:
         raise ValueError(f"not an LGRID1 snapshot (magic {raw[:7]!r})")
-    pos = len(LGRID_MAGIC)
-
-    def unpack(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(raw):
-            raise ValueError("truncated LGRID1 snapshot")
-        out = struct.unpack_from(fmt, raw, pos)
-        pos += size
-        return out
-
-    resolution, num_labels, clamp = unpack("<dId")
-    (roi_present,) = unpack("<B")
-    if roi_present not in (0, 1):
-        raise ValueError(f"roi flag must be 0 or 1, got {roi_present}")
-    roi: Optional[Box3] = None
-    if roi_present:
-        coords = unpack("<6d")
-        roi = Box3(coords[:3], coords[3:])
-    (count,) = unpack("<Q")
+    if len(raw) < _LGRID_HEAD.size:
+        raise ValueError("truncated LGRID1 snapshot")
+    _, resolution, num_labels, clamp, roi_flag = _LGRID_HEAD.unpack_from(raw)
+    if roi_flag not in (0, 1):
+        raise ValueError(f"roi flag must be 0 or 1, got {roi_flag}")
+    tail = _lgrid_tail(roi_flag)
+    pos = _LGRID_HEAD.size + tail.size
+    if len(raw) < pos:
+        raise ValueError("truncated LGRID1 snapshot")
+    *coords, count = tail.unpack_from(raw, _LGRID_HEAD.size)
+    roi = Box3(coords[:3], coords[3:]) if roi_flag else None
     grid = LabelOccupancyGrid(resolution, num_labels, clamp=clamp, roi=roi)
     cell_dtype = _lgrid_cell_dtype(num_labels)
     # Python ints: a huge count fails here, before anything is allocated
@@ -233,10 +227,7 @@ def grid_from_bytes(raw: bytes) -> LabelOccupancyGrid:
 def grid_from_file_bytes(path, raw: bytes) -> LabelOccupancyGrid:
     """:func:`grid_from_bytes` of the bytes read from ``path``; a
     ``ValueError`` names the file."""
-    try:
-        return grid_from_bytes(raw)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return _nested(str(path), grid_from_bytes, raw)
 
 
 def load_grid(path) -> LabelOccupancyGrid:
@@ -272,7 +263,9 @@ def pose_record(pose: Pose, intrinsics: CameraIntrinsics, timestamp: float) -> d
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a JSON value is a number, not a bool, and finite as a float64."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def _object(value) -> dict:

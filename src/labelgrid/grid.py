@@ -55,13 +55,6 @@ def probability(log_odds: float) -> float:
     return e / (1.0 + e)
 
 
-def world_to_key(point, resolution: float) -> VoxelKey:
-    """Voxel index containing a world point (floor division per axis)."""
-    p = np.asarray(point, dtype=float)
-    idx = np.floor(p / resolution).astype(np.int64)
-    return VoxelKey(int(idx[0]), int(idx[1]), int(idx[2]))
-
-
 def voxel_center(key, resolution: float) -> np.ndarray:
     """World coordinates of a voxel's center; also maps (N, 3) keys to (N, 3) centers."""
     return (np.asarray(key, dtype=float) + 0.5) * resolution

@@ -34,12 +34,13 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (self.width > 0 and self.height > 0):
+            raise ValueError("image dimensions must be positive")
+        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
+            raise ValueError("focal lengths must be positive and finite")
+        # also rejects a NaN or infinite principal point
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("image dimensions must be positive")
 
 
 def softmax_image(logits) -> np.ndarray:
@@ -97,6 +98,9 @@ class SensorFrame:
     proba: np.ndarray
 
     def __post_init__(self) -> None:
+        # a NaN timestamp would make the gate treat every later frame as moving
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
         self.depth = np.asarray(self.depth, dtype=float)
         shape = (self.intrinsics.height, self.intrinsics.width)
         if self.depth.shape != shape:

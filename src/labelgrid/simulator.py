@@ -11,6 +11,7 @@ fusion gate is expected to reject.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,6 +83,8 @@ class Waypoint:
     hold_frames: int = 1
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"waypoint timestamp must be finite, got {self.timestamp!r}")
         if not (_integral(self.hold_frames) and self.hold_frames >= 1):
             raise ValueError(f"hold_frames must be an integer >= 1, got {self.hold_frames!r}")
         object.__setattr__(self, "hold_frames", int(self.hold_frames))
@@ -104,8 +107,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ValueError("trajectory needs at least one waypoint")
-        if self.frame_dt <= 0:
-            raise ValueError("frame_dt must be positive")
+        if not 0 < self.frame_dt < math.inf:
+            raise ValueError(f"frame_dt must be positive and finite, got {self.frame_dt!r}")
         if not (_integral(self.transition_frames) and self.transition_frames >= 0):
             raise ValueError(f"transition_frames must be an integer >= 0, "
                              f"got {self.transition_frames!r}")

@@ -1,6 +1,7 @@
 """CLI workflows: simulate | fuse | eval | export round trips."""
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -66,6 +67,10 @@ class TestSimulate:
          "scene.json: objects[0]: field 'min' must be a list of 3 numbers, got 5"),
         ("trajectory", lambda t: t.update(waypoints=5),
          "trajectory.json: field 'waypoints' must be a list, got 5"),
+        ("scene", lambda s: s["roi"]["max"].__setitem__(0, math.nan),
+         "scene.json: roi: field 'max' must be a list of 3 numbers, got [nan, "),
+        ("trajectory", lambda t: t["waypoints"][1].update(timestamp=math.inf),
+         "trajectory.json: waypoints[1]: field 'timestamp' must be a number, got inf"),
     ])
     def test_mistyped_input_exits_2_naming_file_and_field(self, tmp_path, capsys,
                                                           which, edit, message):
@@ -225,6 +230,8 @@ class TestStreamingFuse:
         (None, 5, "record 3 must be a JSON object"),
         ("pose", 5, "record 3: pose: must be a JSON object"),
         ("rotation", ["one"] * 9, "record 3: pose: field 'rotation' must be a list of 9 numbers"),
+        ("timestamp", math.nan, "record 3: pose: field 'timestamp' must be a number, got nan"),
+        ("fx", math.inf, "record 3: pose: field 'fx' must be a number, got inf"),
     ])
     def test_mistyped_record_exits_2_before_any_snapshot(self, sim_run, tmp_path, capsys,
                                                          field, value, message):

@@ -262,6 +262,16 @@ class TestLgridSnapshot:
         reloaded = grid_from_bytes(grid_to_bytes(loaded))
         assert reloaded == loaded
 
+    @pytest.mark.parametrize("grid", [
+        populated_grid(),
+        populated_grid(roi=Box3((-1, -1, -1), (1, 1, 1))),
+        LabelOccupancyGrid(0.01, 3, roi=Box3((0, 0, 0), (1, 1, 1))),
+    ], ids=["plain", "roi", "no-cells"])
+    def test_saved_file_is_grid_to_bytes(self, tmp_path, grid):
+        path = tmp_path / "g.lgrid"
+        save_grid(path, grid)
+        assert path.read_bytes() == grid_to_bytes(grid)
+
     def test_cell_values_are_float32_of_originals(self, tmp_path):
         grid = populated_grid()
         loaded = grid_from_bytes(grid_to_bytes(grid))
@@ -608,6 +618,10 @@ class TestManifestAndFrames:
         (lambda r: r["pose"].pop("fx"), "record 1: pose: missing field 'fx'"),
         (lambda r: r["pose"].update(width=4.5), "record 1: pose: field 'width' must be an integer"),
         (lambda r: r["pose"].update(timestamp="0"), "record 1: pose: field 'timestamp' must be a number"),
+        (lambda r: r["pose"].update(timestamp=math.nan),
+         "record 1: pose: field 'timestamp' must be a number, got nan"),
+        (lambda r: r["pose"].update(fx=math.inf), "record 1: pose: field 'fx' must be a number, got inf"),
+        (lambda r: r["pose"].update(cy=10 ** 400), "record 1: pose: field 'cy' must be a number, got 1000"),
         (lambda r: r["pose"].update(translation=[0, 0]),
          "record 1: pose: field 'translation' must be a list of 3 numbers"),
         (lambda r: r["pose"].update(rotation=[1, 0, 0, 0, 1, 0, 0, 0, True]),

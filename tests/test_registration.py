@@ -100,6 +100,20 @@ class TestIntrinsicsValidation:
         with pytest.raises(ValueError):
             CameraIntrinsics(**kwargs)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"width": 0}, "image dimensions must be positive"),
+        ({"height": -1}, "image dimensions must be positive"),
+        ({"width": math.nan}, "image dimensions must be positive"),
+        ({"fx": math.inf}, "focal lengths must be positive and finite"),
+        ({"fy": math.nan}, "focal lengths must be positive and finite"),
+        ({"cx": math.nan}, "principal point must lie inside the image"),
+        ({"cy": math.inf}, "principal point must lie inside the image"),
+    ])
+    def test_rejects_non_finite_values_and_empty_images(self, change, message):
+        kwargs = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 4, "height": 4}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CameraIntrinsics(**{**kwargs, **change})
+
 
 def make_frame(depth, proba, intr, pose=None, timestamp=0.0):
     return SensorFrame(timestamp=timestamp, depth=depth,
@@ -121,6 +135,12 @@ class TestSensorFrameValidation:
         proba[3, 4, 1] = np.nan
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
             make_frame(depth, proba, intr100)
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_timestamp(self, intr100, timestamp):
+        with pytest.raises(ValueError, match="timestamp must be finite"):
+            make_frame(np.ones((200, 200)), np.full((200, 200, 2), 0.5), intr100,
+                       timestamp=timestamp)
 
     def test_rejects_shape_mismatch(self, intr100):
         with pytest.raises(ValueError):

@@ -258,6 +258,14 @@ class TestTrajectory:
                 Trajectory([wp], transition_frames=transitions)
         assert Trajectory([wp], transition_frames=2.0).transition_frames == 2
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, value):
+        with pytest.raises(ValueError, match="waypoint timestamp must be finite"):
+            Waypoint(pose=Pose.identity(), timestamp=value)
+        wp = Waypoint(pose=Pose.identity(), timestamp=0.0)
+        with pytest.raises(ValueError, match="frame_dt must be positive and finite"):
+            Trajectory([wp], frame_dt=value)
+
     def test_overlapping_waypoints_rejected(self):
         a = Waypoint(pose=Pose.identity(), timestamp=0.0, hold_frames=4)
         b = Waypoint(pose=Pose.identity(), timestamp=0.5, hold_frames=1)
