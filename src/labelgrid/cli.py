@@ -5,9 +5,20 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
+
+# On a multi-core machine, importing numpy starts an OpenBLAS worker
+# thread that labelgrid never uses: its only BLAS calls are (N, 3) @ (3, 3)
+# rotations and 3x3 products. On a 2-core VM the thread cost every command
+# 70-90 ms of CPU (a child ``import labelgrid.cli`` took 0.28 s, against
+# 0.19 s single-threaded, medians of 30). The default must be set before
+# numpy loads, so it comes before the imports below; a value the user set
+# is kept, and a program that imported numpy first keeps its threads.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

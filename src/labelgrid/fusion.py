@@ -9,13 +9,12 @@ thresholds. The very first frame of a stream counts as stationary.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Protocol
 
 import numpy as np
 
-from .geometry import Pose, rotation_angle
+from .geometry import Pose, is_integral, rotation_angle
 from .grid import LabelOccupancyGrid
 from .registration import SensorFrame, register_frame
 
@@ -35,8 +34,7 @@ class GateConfig:
                 or math.isnan(self.angular_eps):
             raise ValueError("velocity thresholds must be >= 0")
         settle = self.settle_frames
-        if isinstance(settle, bool) or not isinstance(settle, numbers.Real) \
-                or not float(settle).is_integer() or settle < 1:
+        if not (is_integral(settle) and settle >= 1):
             raise ValueError(f"settle_frames must be an integer >= 1, got {settle!r}")
         object.__setattr__(self, "settle_frames", int(settle))
 
@@ -71,7 +69,8 @@ class FusionStats:
 def camera_velocity(prev_pose: Pose, prev_time: float,
                     curr_pose: Pose, curr_time: float) -> tuple[float, float]:
     """Linear (m/s) and angular (rad/s) velocity between two stamped poses."""
-    if curr_time <= prev_time:
+    # written so that a NaN time fails too
+    if not curr_time > prev_time:
         raise ValueError(f"time must advance, got {prev_time} -> {curr_time}")
     dt = curr_time - prev_time
     linear = float(np.linalg.norm(curr_pose.translation - prev_pose.translation)) / dt
@@ -101,7 +100,8 @@ def fuse_stream(grid: LabelOccupancyGrid,
     prev: Optional[StreamItem] = None
     stationary_run = 0
     for index, item in enumerate(frames):
-        if prev is not None and item.timestamp <= prev.timestamp:
+        # a NaN timestamp compares false both ways, so it fails this test
+        if prev is not None and not item.timestamp > prev.timestamp:
             raise ValueError(
                 f"frame {index} timestamp {item.timestamp} is not after "
                 f"frame {index - 1} ({prev.timestamp})")

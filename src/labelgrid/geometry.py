@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 Vec3 = tuple[float, float, float]
+
+
+def is_integral(value) -> bool:
+    """Whether ``value`` is an integer or an integral real number; a bool,
+    which ``int()`` would turn into 0 or 1, is not, nor is NaN or inf."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
 
 
 @dataclass(frozen=True)

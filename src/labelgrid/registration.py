@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .geometry import Box3, Pose
+from .geometry import Box3, Pose, is_integral
 from .grid import VoxelKey, pack_keys, unpack_codes, voxel_center
 
 
@@ -34,6 +34,11 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
+        for name in ("width", "height"):
+            value = getattr(self, name)
+            if not is_integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not (self.width > 0 and self.height > 0):
             raise ValueError("image dimensions must be positive")
         if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):

@@ -12,22 +12,14 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
-from .geometry import Box3, Pose, look_at, slerp
+from .geometry import Box3, Pose, is_integral, look_at, slerp
 from .registration import CameraIntrinsics, SensorFrame
-
-
-def _integral(value) -> bool:
-    """Whether ``value`` is an integer or an integral real number; a bool,
-    which ``int()`` would turn into 0 or 1, is not."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
 
 
 @dataclass(frozen=True)
@@ -50,7 +42,7 @@ class NoiseModel:
             raise ValueError(f"confidence must lie in (0.5, 1), got {self.confidence}")
         if not 0.0 <= self.flip_rate < 0.5:
             raise ValueError(f"flip_rate must lie in [0, 0.5), got {self.flip_rate}")
-        if not (_integral(self.seed) and 0 <= self.seed < 2 ** 64):
+        if not (is_integral(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
@@ -85,7 +77,7 @@ class Waypoint:
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ValueError(f"waypoint timestamp must be finite, got {self.timestamp!r}")
-        if not (_integral(self.hold_frames) and self.hold_frames >= 1):
+        if not (is_integral(self.hold_frames) and self.hold_frames >= 1):
             raise ValueError(f"hold_frames must be an integer >= 1, got {self.hold_frames!r}")
         object.__setattr__(self, "hold_frames", int(self.hold_frames))
 
@@ -109,7 +101,7 @@ class Trajectory:
             raise ValueError("trajectory needs at least one waypoint")
         if not 0 < self.frame_dt < math.inf:
             raise ValueError(f"frame_dt must be positive and finite, got {self.frame_dt!r}")
-        if not (_integral(self.transition_frames) and self.transition_frames >= 0):
+        if not (is_integral(self.transition_frames) and self.transition_frames >= 0):
             raise ValueError(f"transition_frames must be an integer >= 0, "
                              f"got {self.transition_frames!r}")
         self.transition_frames = int(self.transition_frames)

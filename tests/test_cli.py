@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -574,16 +575,80 @@ class TestExport:
         assert ply.read_text().splitlines()[8:] == expected
 
 
-def modules_after(statements: str, package: str) -> list[str]:
+def modules_after(statements: str, package: str, env: dict | None = None) -> list[str]:
     """The modules of ``package`` loaded after running ``statements`` in a
-    fresh interpreter, sorted."""
+    fresh interpreter, sorted; ``env`` replaces the child's environment."""
     src = str(Path(labelgrid.__file__).parents[1])
     code = (f"import json, sys; sys.path.insert(0, {src!r}); {statements}; "
             f"print(json.dumps(sorted(m for m in sys.modules "
             f"if m.split('.')[0] == {package!r})))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True)
+                            env=env)
+    assert result.returncode == 0, result.stderr
     return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def env_with_blas_threads(value: str | None) -> dict:
+    """This environment with ``OPENBLAS_NUM_THREADS`` set to ``value``, or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return env if value is None else {**env, "OPENBLAS_NUM_THREADS": value}
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    """The root names load lazily, so ``python -m labelgrid.cli`` reaches the
+    thread default in cli.py before anything imports numpy."""
+    assert modules_after("import labelgrid", "numpy") == []
+    assert modules_after("import labelgrid", "labelgrid") == ["labelgrid"]
+
+
+def test_root_names_are_the_objects_of_their_modules():
+    modules = ("fusion", "geometry", "grid", "metrics", "registration")
+    statements = (
+        "import importlib, labelgrid; "
+        f"mods = [importlib.import_module('labelgrid.' + m) for m in {modules!r}]; "
+        "found = {n: [getattr(m, n) for m in mods if hasattr(m, n)] for n in labelgrid.__all__}; "
+        "assert all(len(v) >= 1 and all(getattr(labelgrid, n) is o for o in v) "
+        "for n, v in found.items()), found; "
+        "ns = {}; exec('from labelgrid import *', ns); "
+        "assert set(ns) - {'__builtins__'} == set(labelgrid.__all__); "
+        "assert set(labelgrid.__all__) <= set(dir(labelgrid))")
+    modules_after(statements, "labelgrid")
+
+
+def test_unknown_root_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        labelgrid.no_such_name
+    modules_after("import labelgrid; assert not hasattr(labelgrid, 'no_such_name')",
+                  "labelgrid")
+
+
+def test_submodules_import_from_the_package_root():
+    loaded = modules_after("from labelgrid import simulator, fileio; "
+                           "assert simulator.Scene and fileio.load_grid", "labelgrid")
+    assert {"labelgrid.simulator", "labelgrid.fileio"} <= set(loaded)
+
+
+def test_cli_defaults_openblas_to_one_thread():
+    """Importing numpy with OpenBLAS's default starts a worker thread the CLI
+    never uses; the CLI sets the variable before numpy loads."""
+    statements = "import os, labelgrid.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '1'"
+    modules_after(statements, "labelgrid", env=env_with_blas_threads(None))
+    if not Path("/proc/self/task").is_dir():
+        pytest.skip("no /proc/self/task to count threads")
+    modules_after(statements + "; assert len(os.listdir('/proc/self/task')) == 1",
+                  "labelgrid", env=env_with_blas_threads(None))
+
+
+def test_cli_keeps_a_user_set_blas_thread_count():
+    statements = "import os, labelgrid.cli; assert os.environ['OPENBLAS_NUM_THREADS'] == '2'"
+    modules_after(statements, "labelgrid", env=env_with_blas_threads("2"))
+
+
+def test_cli_leaves_the_environment_alone_after_numpy_loaded():
+    """A program that imported numpy first already has its thread pool."""
+    statements = ("import os, numpy, labelgrid.cli; "
+                  "assert 'OPENBLAS_NUM_THREADS' not in os.environ")
+    modules_after(statements, "labelgrid", env=env_with_blas_threads(None))
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -1,6 +1,7 @@
 """Fusion pipeline: velocity gate state machine and stream semantics."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ class TestCameraVelocity:
             camera_velocity(p, 1.0, p, 1.0)
         with pytest.raises(ValueError):
             camera_velocity(p, 1.0, p, 0.5)
+        # NaN compares false both ways: neither side may be one
+        for prev_time, curr_time in ((0.0, math.nan), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="time must advance"):
+                camera_velocity(p, prev_time, p, curr_time)
 
 
 class TestGateStateMachine:
@@ -116,6 +121,17 @@ class TestFuseStream:
         grid = LabelOccupancyGrid(0.5, 2)
         with pytest.raises(ValueError, match="frame 2"):
             fuse_stream(grid, frames, GateConfig())
+
+    def test_nan_timestamp_names_the_frame(self):
+        """A NaN compares false both ways, so an ``<=`` test would let it and
+        every later frame through; plain items skip SensorFrame's checks."""
+        loaded = []
+        items = [SimpleNamespace(timestamp=t, pose=Pose.identity(),
+                                 load=lambda t=t: loaded.append(t))
+                 for t in (0.0, 1.0, math.nan, 3.0)]
+        with pytest.raises(ValueError, match="^frame 2 timestamp nan is not after frame 1"):
+            fuse_stream(LabelOccupancyGrid(0.5, 2), items, GateConfig(settle_frames=3))
+        assert loaded == []
 
     def test_gated_frames_leave_grid_bit_identical(self):
         still = frame_at(Pose.identity(), 0.0)

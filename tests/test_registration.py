@@ -103,16 +103,26 @@ class TestIntrinsicsValidation:
     @pytest.mark.parametrize("change, message", [
         ({"width": 0}, "image dimensions must be positive"),
         ({"height": -1}, "image dimensions must be positive"),
-        ({"width": math.nan}, "image dimensions must be positive"),
+        ({"width": math.nan}, "width must be an integer, got nan"),
         ({"fx": math.inf}, "focal lengths must be positive and finite"),
         ({"fy": math.nan}, "focal lengths must be positive and finite"),
         ({"cx": math.nan}, "principal point must lie inside the image"),
         ({"cy": math.inf}, "principal point must lie inside the image"),
+        ({"width": 4.5}, r"width must be an integer, got 4\.5"),
+        ({"height": math.inf}, "height must be an integer, got inf"),
+        ({"height": True}, "height must be an integer, got True"),
+        ({"width": "4"}, "width must be an integer, got '4'"),
     ])
     def test_rejects_non_finite_values_and_empty_images(self, change, message):
         kwargs = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 4, "height": 4}
         with pytest.raises(ValueError, match=f"^{message}$"):
             CameraIntrinsics(**{**kwargs, **change})
+
+    def test_stores_integral_sizes_as_int(self):
+        intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0,
+                                width=4.0, height=np.int64(3))
+        assert (intr.width, intr.height) == (4, 3)
+        assert type(intr.width) is int and type(intr.height) is int
 
 
 def make_frame(depth, proba, intr, pose=None, timestamp=0.0):
