@@ -14,13 +14,12 @@ _EXPORTS = {
     **dict.fromkeys(["FusionStats", "GateConfig", "camera_velocity", "fuse_stream"],
                     "fusion"),
     **dict.fromkeys(["Box3", "Pose", "look_at", "rotation_angle"], "geometry"),
-    **dict.fromkeys(["LabelOccupancyGrid", "VoxelKey", "logit", "probability",
-                     "voxel_center"], "grid"),
+    **dict.fromkeys(["LabelOccupancyGrid", "logit", "probability", "voxel_center"], "grid"),
     **dict.fromkeys(["ConfusionMatrix", "IouReport", "confusion", "iou_3d", "mean_iu",
                      "pixelwise_accuracy"], "metrics"),
     **dict.fromkeys(["CameraIntrinsics", "RegistrationResult", "SensorFrame",
-                     "VoxelMeasurement", "deproject", "project", "register_frame",
-                     "softmax_image"], "registration"),
+                     "VoxelMeasurement", "deproject", "register_frame", "softmax_image"],
+                    "registration"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -82,17 +82,13 @@ def cmd_fuse(args) -> int:
         snap_dir = Path(args.per_frame_snapshots)
         snap_dir.mkdir(parents=True, exist_ok=True)
 
-        previous = None
-
         def on_frame(index, item, fused):
             # a gated frame leaves the grid as it was: copy the last snapshot
-            nonlocal previous
             path = snap_dir / f"frame_{index:04d}.lgrid"
-            if fused or previous is None:
+            if fused or index == 0:
                 fileio.save_grid(path, grid)
             else:
-                shutil.copyfile(previous, path)
-            previous = path
+                shutil.copyfile(snap_dir / f"frame_{index - 1:04d}.lgrid", path)
 
     stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)
     fileio.save_grid(args.out, grid)
@@ -149,20 +145,15 @@ def cmd_eval(args) -> int:
                 lines.append(f"{path.name},{row['label']},{row['iou']!r},{row['v_tp']!r},"
                              f"{row['v_fp']!r},{row['v_fn']!r},{row['voxel_count']}")
         text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    grid = fileio.load_grid(snapshot)
-    reports = [_evaluate(grid, label, box) for label, box in boxes]
-    payload = reports[0] if args.label is not None and len(reports) == 1 else reports
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
     else:
-        print(text)
+        grid = fileio.load_grid(snapshot)
+        reports = [_evaluate(grid, label, box) for label, box in boxes]
+        payload = reports[0] if args.label is not None and len(reports) == 1 else reports
+        text = json.dumps(payload, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

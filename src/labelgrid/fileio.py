@@ -217,10 +217,9 @@ def grid_from_bytes(raw: bytes) -> LabelOccupancyGrid:
         raise ValueError("truncated LGRID1 snapshot")
     if pos + payload != len(raw):
         raise ValueError(f"{len(raw) - pos - payload} trailing bytes after LGRID1 payload")
-    if count:
-        cells = np.frombuffer(raw, dtype=cell_dtype, count=count, offset=pos)
-        _check_cells(cells["log_odds"], clamp)
-        grid.set_cells(pack_keys(cells["key"]), cells["log_odds"])
+    cells = np.frombuffer(raw, dtype=cell_dtype, count=count, offset=pos)
+    _check_cells(cells["log_odds"], clamp)
+    grid.set_cells(pack_keys(cells["key"]), cells["log_odds"])
     return grid
 
 

@@ -4,7 +4,8 @@ Each touched voxel stores one log-odds value per label. A voxel that was
 never updated is implicitly all-zero, i.e. probability 0.5 for every label
 (the unknown state). Updates add the logit of the measured probability to
 the stored value and saturate at a symmetric clamp bound so the map stays
-revisable under contradicting evidence.
+revisable under contradicting evidence. Voxel key ``(ix, iy, iz)`` covers
+[ix * res, (ix + 1) * res) on x, and likewise on y and z.
 
 The grid is columnar: a sorted int64 array of voxel codes and an
 ``(N, num_labels)`` float64 log-odds matrix whose row ``i`` belongs to
@@ -18,23 +19,15 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .geometry import Box3
+from .geometry import Box3, is_integral
 
 KEY_BITS = 21
 KEY_OFFSET = 1 << (KEY_BITS - 1)
 _KEY_MASK = (1 << KEY_BITS) - 1
-
-
-class VoxelKey(NamedTuple):
-    """Integer voxel index; key k covers [k * res, (k + 1) * res) per axis."""
-
-    ix: int
-    iy: int
-    iz: int
 
 
 def logit(p: float) -> float:
@@ -139,12 +132,12 @@ class LabelOccupancyGrid:
     def __init__(self, resolution: float, num_labels: int,
                  clamp: float = 3.5, roi: Optional[Box3] = None):
         resolution = float(resolution)
-        num_labels = int(num_labels)
         clamp = float(clamp)
         if not (resolution > 0.0 and math.isfinite(resolution)):
             raise ValueError(f"resolution must be a positive finite number, got {resolution}")
-        if num_labels < 2:
-            raise ValueError(f"num_labels must be >= 2, got {num_labels}")
+        if not (is_integral(num_labels) and num_labels >= 2):
+            raise ValueError(f"num_labels must be an integer >= 2, got {num_labels!r}")
+        num_labels = int(num_labels)
         if not clamp > 0.0 or math.isnan(clamp):
             raise ValueError(f"clamp must be > 0, got {clamp}")
         if roi is not None and not isinstance(roi, Box3):
@@ -178,10 +171,10 @@ class LabelOccupancyGrid:
         return self._codes.shape[0]
 
     def _check_label(self, label: int) -> int:
-        label = int(label)
-        if not 0 <= label < self._num_labels:
-            raise ValueError(f"label {label} out of range [0, {self._num_labels - 1}]")
-        return label
+        if not (is_integral(label) and 0 <= label < self._num_labels):
+            raise ValueError(f"label must be an integer in [0, {self._num_labels - 1}], "
+                             f"got {label!r}")
+        return int(label)
 
     def update(self, codes, probs) -> None:
         """Add one measurement vector per voxel, for a batch of distinct voxels.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ def iou_3d(voxels, resolution: float, gt: Box3) -> IouReport:
     and iou = v_tp / (v_tp + v_fp + v_fn). Volumes are summed in key order,
     so the result does not depend on the order the keys come in.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution}")
     if not isinstance(voxels, np.ndarray):
         voxels = list(voxels)
     keys = np.asarray(voxels, dtype=float).reshape(-1, 3)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .geometry import Box3, Pose, is_integral
-from .grid import VoxelKey, pack_keys, unpack_codes, voxel_center
+from .grid import pack_keys, unpack_codes, voxel_center
 
 
 @dataclass(frozen=True)
@@ -76,16 +76,6 @@ def deproject(pixel, depth_m: float, intrinsics: CameraIntrinsics) -> Optional[n
     ])
 
 
-def project(point_cam, intrinsics: CameraIntrinsics) -> tuple[float, float, float]:
-    """Pinhole projection of a camera-frame point, returning (u, v, depth)."""
-    x, y, z = (float(c) for c in point_cam)
-    if z <= 0:
-        raise ValueError(f"point behind the camera, z={z}")
-    return (intrinsics.cx + intrinsics.fx * x / z,
-            intrinsics.cy + intrinsics.fy * y / z,
-            z)
-
-
 @dataclass(eq=False)
 class SensorFrame:
     """One measurement: depth + per-pixel class probabilities + pose.
@@ -138,7 +128,7 @@ class SensorFrame:
 class VoxelMeasurement(NamedTuple):
     """Aggregated probability vector for one voxel within one frame."""
 
-    key: VoxelKey
+    key: tuple[int, int, int]
     label_p: np.ndarray
 
 
@@ -160,7 +150,7 @@ class RegistrationResult:
     def measurements(self) -> list[VoxelMeasurement]:
         """The result as one (key, probabilities) pair per voxel, in key order."""
         keys = unpack_codes(self.codes).tolist()
-        return [VoxelMeasurement(VoxelKey(*k), row) for k, row in zip(keys, self.means)]
+        return [VoxelMeasurement(tuple(k), row) for k, row in zip(keys, self.means)]
 
 
 # runs longer than this finish with one np.add.accumulate, so the row
@@ -228,13 +218,6 @@ def register_frame(frame: SensorFrame, resolution: float,
     valid = np.isfinite(depth) & (depth > 0)
     skipped_depth = int(depth.size - np.count_nonzero(valid))
 
-    def empty(skipped_roi: int) -> RegistrationResult:
-        return RegistrationResult(np.empty(0, dtype=np.int64), np.empty((0, frame.num_labels)),
-                                  skipped_depth, skipped_roi)
-
-    if skipped_depth == depth.size:
-        return empty(0)
-
     # the flat pixel index stands in for the probability row until the sums
     pixel = np.flatnonzero(valid)
     del valid
@@ -267,7 +250,8 @@ def register_frame(frame: SensorFrame, resolution: float,
         keys, pixel = keys[keep], pixel[keep]
         del keep
     if keys.shape[0] == 0:
-        return empty(skipped_roi)
+        return RegistrationResult(np.empty(0, dtype=np.int64), np.empty((0, frame.num_labels)),
+                                  skipped_depth, skipped_roi)
 
     codes = pack_keys(keys)
     del keys

@@ -56,12 +56,13 @@ class Scene:
     roi: Box3
 
     def __post_init__(self) -> None:
-        labels = [int(label) for label, _ in self.objects]
-        if any(label < 1 for label in labels):
-            raise ValueError("object labels must be >= 1 (0 is background)")
-        if len(set(labels)) != len(labels):
-            raise ValueError("object labels must be unique within a scene")
+        for label, _ in self.objects:
+            if not (is_integral(label) and label >= 1):
+                raise ValueError(f"object label must be an integer >= 1 (0 is background), "
+                                 f"got {label!r}")
         self.objects = [(int(label), box) for label, box in self.objects]
+        if len({label for label, _ in self.objects}) != len(self.objects):
+            raise ValueError("object labels must be unique within a scene")
 
     @property
     def max_label(self) -> int:

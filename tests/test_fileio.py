@@ -644,6 +644,37 @@ class TestManifestAndFrames:
         with pytest.raises(ValueError, match=re.escape(message.removeprefix("record 1: "))):
             load_frame(bad, tmp_path)
 
+    # a marker string that the manifest text replaces with the JSON number 1e400
+    HUGE = "<1e400>"
+    # values that no record field takes; strings are valid file names
+    NOT_A_STRING = st.one_of(
+        st.none(), st.booleans(), st.just(math.nan), st.just(HUGE),
+        st.lists(st.one_of(st.integers(), st.text(max_size=3)), max_size=2),
+        st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(["depth_file", "logits_file", "timestamp", "pose"]
+                                 + [f"pose.{name}" for name in ("timestamp", "fx", "fy", "cx",
+                                    "cy", "width", "height", "rotation", "translation")]),
+           data=st.data())
+    def test_wrong_json_value_names_the_field(self, tmp_path_factory, field, data):
+        wrong = self.NOT_A_STRING
+        if not field.endswith("_file"):
+            wrong = wrong | st.text(max_size=5)
+        value = data.draw(wrong)
+        intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=1.5, width=4, height=3)
+        record = {"depth_file": "depth.pgm", "logits_file": "scores.probimg",
+                  "timestamp": 0.0, "pose": pose_record(Pose.identity(), intr, 0.0)}
+        *parent, name = field.split(".")
+        (record[parent[0]] if parent else record)[name] = value
+        path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+        path.write_text(json.dumps([record]).replace(json.dumps(self.HUGE), "1e400"))
+        # the whole pose object is named as the prefix of what is wrong inside it
+        named = "record 0: pose: " if field == "pose" else (
+            f"record 0: {''.join(p + ': ' for p in parent)}field '{name}'")
+        with pytest.raises(ValueError, match=re.escape(named)):
+            read_frame_records(path)
+
     def test_malformed_manifest_reports_line(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text('[\n  {"broken": }\n]\n')

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelgrid import (Box3, LabelOccupancyGrid, VoxelKey, logit, probability,
-                       voxel_center)
+from labelgrid import Box3, LabelOccupancyGrid, logit, probability, voxel_center
 from labelgrid.grid import pack_key, pack_keys, unpack_codes
 from oracles import oracle_update
 
@@ -68,10 +67,6 @@ def test_logit_antisymmetry(p):
 
 
 class TestVoxelKey:
-    def test_structural_equality(self):
-        assert VoxelKey(1, 2, 3) == VoxelKey(1, 2, 3) == (1, 2, 3)
-        assert hash(VoxelKey(1, 2, 3)) == hash((1, 2, 3))
-
     def test_center_round_trips(self):
         for key in [(0, 0, 0), (3, -2, 7), (-100, 5, -1)]:
             assert np.floor(voxel_center(key, 0.01) / 0.01).tolist() == list(key)
@@ -126,6 +121,19 @@ class TestUpdateVoxel:
         g = LabelOccupancyGrid(0.01, 4)
         with pytest.raises(ValueError):
             g.update_voxel((0, 0, 0), 4, 0.9)
+
+    def test_label_must_be_an_integer(self):
+        # int() would take 1.9 and True as label 1
+        g = LabelOccupancyGrid(0.01, 4)
+        for label in (1.9, True, "1", math.nan, -1):
+            with pytest.raises(ValueError, match=r"label must be an integer in \[0, 3\], got"):
+                g.update_voxel((0, 0, 0), label, 0.9)
+            with pytest.raises(ValueError, match="label must be an integer"):
+                g.segment(label)
+        assert len(g) == 0
+        g.update_voxel((0, 0, 0), np.int64(1), 0.9)
+        g.update_voxel((0, 0, 0), 2.0, 0.9)
+        assert g.log_odds((0, 0, 0), 1.0) == g.log_odds((0, 0, 0), np.int32(2)) == LN_9
 
     def test_vector_and_scalar_paths_agree(self):
         rng = np.random.default_rng(7)
@@ -287,10 +295,19 @@ class TestConstruction:
         {"resolution": 0.01, "num_labels": 1},
         {"resolution": 0.01, "num_labels": 2, "clamp": 0.0},
         {"resolution": 0.01, "num_labels": 2, "clamp": -3.0},
+        {"resolution": 0.005, "num_labels": math.nan},
+        {"resolution": 0.005, "num_labels": "40"},
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ValueError):
             LabelOccupancyGrid(**kwargs)
+
+    def test_num_labels_must_be_an_integer(self):
+        with pytest.raises(ValueError, match=r"num_labels must be an integer >= 2, got 40\.7"):
+            LabelOccupancyGrid(0.005, 40.7)
+        for num_labels in (np.int64(40), 40.0):
+            g = LabelOccupancyGrid(0.005, num_labels)
+            assert g.num_labels == 40 and type(g.num_labels) is int
 
     def test_infinite_clamp_allowed(self):
         g = LabelOccupancyGrid(0.01, 2, clamp=math.inf)

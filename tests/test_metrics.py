@@ -1,5 +1,7 @@
 """Metrics: exact cube/box IoU with a Monte-Carlo oracle, 2D pixel metrics."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,11 @@ class TestIou3d:
         report = iou_3d([], 0.01, box)
         assert report.iou == 0.0
         assert report.v_fn == pytest.approx(box.volume)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, 0.0, -0.01])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        with pytest.raises(ValueError, match="resolution must be positive and finite"):
+            iou_3d([(0, 0, 0)], resolution, Box3((0, 0, 0), (1, 1, 1)))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(2)

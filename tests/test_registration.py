@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, deproject,
-                       project, register_frame, softmax_image)
+                       register_frame, softmax_image)
 from labelgrid.grid import pack_keys, unpack_codes, voxel_center
 from labelgrid.registration import _STEP_ROWS
 from oracles import oracle_register
@@ -76,17 +76,6 @@ class TestDeproject:
     def test_identity_pose_keeps_coordinates(self, intr100):
         point = deproject((150.0, 50.0), 1.0, intr100)
         assert np.allclose(Pose.identity().transform(point), point)
-
-    @given(st.floats(min_value=0.0, max_value=199.0),
-           st.floats(min_value=0.0, max_value=199.0),
-           st.floats(min_value=0.01, max_value=50.0))
-    def test_project_round_trip(self, u, v, d):
-        intr = CameraIntrinsics(fx=100.0, fy=100.0, cx=50.0, cy=50.0,
-                                width=200, height=200)
-        uu, vv, dd = project(deproject((u, v), d, intr), intr)
-        assert uu == pytest.approx(u, abs=1e-9)
-        assert vv == pytest.approx(v, abs=1e-9)
-        assert dd == pytest.approx(d, abs=1e-9)
 
 
 class TestIntrinsicsValidation:
@@ -164,6 +153,17 @@ class TestRegisterFrame:
         result = register_frame(make_frame(depth, proba, intr100), 0.01)
         assert result.measurements == []
         assert result.pixels_skipped_depth == 200 * 200
+
+    @pytest.mark.parametrize("depth_m, roi, skipped", [
+        (0.0, None, (200 * 200, 0)),
+        (1.0, Box3((5, 5, 5), (6, 6, 6)), (0, 200 * 200)),
+    ], ids=["all-invalid-depth", "all-outside-roi"])
+    def test_empty_result_arrays(self, intr100, depth_m, roi, skipped):
+        frame = make_frame(np.full((200, 200), depth_m), np.full((200, 200, 4), 0.25), intr100)
+        result = register_frame(frame, 0.01, roi)
+        assert result.codes.dtype == np.int64 and result.codes.shape == (0,)
+        assert result.means.dtype == np.float64 and result.means.shape == (0, 4)
+        assert (result.pixels_skipped_depth, result.pixels_skipped_roi) == skipped
 
     def test_single_pixel(self, intr100):
         depth = np.zeros((200, 200))

@@ -51,6 +51,15 @@ class TestRenderScene:
         assert np.all(depth == 0.0)
         assert np.all(labels == 0)
 
+    def test_object_labels_must_be_integers(self):
+        box = Box3((-0.5, -0.5, 2.0), (0.5, 0.5, 3.0))
+        # int() would store 1.7 and True as label 1
+        for label in (1.7, True, "1", math.nan, 0):
+            with pytest.raises(ValueError, match="object label must be an integer >= 1"):
+                scene_of([(label, box)])
+        scene = scene_of([(np.int64(2), box), (3.0, box)])
+        assert [(label, type(label)) for label, _ in scene.objects] == [(2, int), (3, int)]
+
     def test_front_face_on_axis(self):
         scene = scene_of([(1, Box3((-0.5, -0.5, 2.0), (0.5, 0.5, 3.0)))])
         depth, labels = render_scene(scene, Pose.identity(), INTR32)
