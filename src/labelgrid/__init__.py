@@ -18,8 +18,7 @@ _EXPORTS = {
     **dict.fromkeys(["ConfusionMatrix", "IouReport", "confusion", "iou_3d", "mean_iu",
                      "pixelwise_accuracy"], "metrics"),
     **dict.fromkeys(["CameraIntrinsics", "RegistrationResult", "SensorFrame",
-                     "VoxelMeasurement", "deproject", "register_frame", "softmax_image"],
-                    "registration"),
+                     "VoxelMeasurement", "register_frame", "softmax_image"], "registration"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -25,7 +25,7 @@ import numpy as np
 from . import fileio
 from .fusion import DEFAULT_P_MIN, GateConfig, fuse_stream
 from .geometry import Box3
-from .grid import LabelOccupancyGrid, probability, unpack_codes, voxel_center
+from .grid import DEFAULT_CLAMP, LabelOccupancyGrid, probability, unpack_codes, voxel_center
 from .metrics import iou_3d
 
 
@@ -44,15 +44,15 @@ def _add_fusion_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resolution", type=float, default=0.005, help="voxel edge in meters")
     p.add_argument("--num-labels", type=int, default=40, dest="num_labels",
                    help="total classes including background")
-    p.add_argument("--clamp", type=float, default=3.5, help="log-odds saturation bound")
+    p.add_argument("--clamp", type=float, default=DEFAULT_CLAMP, help="log-odds saturation bound")
     p.add_argument("--p-min", type=float, default=DEFAULT_P_MIN, dest="p_min",
                    help="measurement probability clamp before the logit")
-    p.add_argument("--linear-eps", type=float, default=1e-3, dest="linear_eps",
+    p.add_argument("--linear-eps", type=float, default=GateConfig.linear_eps, dest="linear_eps",
                    help="stationary linear velocity threshold (m/s)")
-    p.add_argument("--angular-eps", type=float, default=1e-3, dest="angular_eps",
+    p.add_argument("--angular-eps", type=float, default=GateConfig.angular_eps, dest="angular_eps",
                    help="stationary angular velocity threshold (rad/s)")
-    p.add_argument("--settle-frames", type=int, default=2, dest="settle_frames",
-                   help="consecutive still frames required before fusing")
+    p.add_argument("--settle-frames", type=int, default=GateConfig.settle_frames,
+                   dest="settle_frames", help="consecutive still frames required before fusing")
     p.add_argument("--roi", type=str, default=None,
                    help="bin-interior clip box: x0,y0,z0,x1,y1,z1")
 
@@ -158,6 +158,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export(args) -> int:
+    # written so that a NaN, which fails every comparison, is rejected
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ValueError(f"--threshold must lie in [0, 1], got {args.threshold}")
     grid = fileio.load_grid(args.snapshot)
     # the scalar sigmoid keeps the printed probabilities bit-exact
     probs = np.array([probability(v) for v in grid.label_log_odds(args.label).tolist()])

@@ -412,8 +412,6 @@ class FrameRecord:
     def parse(cls, index: int, record, manifest_path) -> "FrameRecord":
         """Check record ``index`` of a manifest without opening its image files."""
         where = f"{manifest_path}: record {index}"
-        if not isinstance(record, dict):
-            raise ValueError(f"{where} must be a JSON object, got {record!r}")
         pose, intr, timestamp, _ = _nested(where, _check_frame_record, record)
         return cls(record, Path(manifest_path).parent, timestamp, pose, intr)
 

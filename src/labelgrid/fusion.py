@@ -88,11 +88,12 @@ def fuse_stream(grid: LabelOccupancyGrid,
     The gate reads only each item's ``timestamp`` and ``pose``; ``load()``
     is called only for the frames it passes, and the loaded frame is
     dropped once registered, so a stream of lazy items holds at most one
-    decoded frame. Measurement probabilities are clamped to
-    [p_min, 1 - p_min] before the log-odds update so saturated classifier
-    outputs stay finite. The optional ``on_frame(index, item, fused)``
-    callback runs after each item is processed, with the item as the
-    stream gave it, e.g. to snapshot the grid per frame.
+    decoded frame. A loaded frame must have the grid's label count.
+    Measurement probabilities are clamped to [p_min, 1 - p_min] before
+    the log-odds update so saturated classifier outputs stay finite. The
+    optional ``on_frame(index, item, fused)`` callback runs after each
+    item is processed, with the item as the stream gave it, e.g. to
+    snapshot the grid per frame.
     """
     if not 0.0 < p_min < 0.5:
         raise ValueError(f"p_min must lie in (0, 0.5), got {p_min}")
@@ -116,7 +117,13 @@ def fuse_stream(grid: LabelOccupancyGrid,
         stats.frames_total += 1
         fused = stationary and stationary_run >= gate.settle_frames
         if fused:
-            result = register_frame(item.load(), grid.resolution, grid.roi)
+            frame = item.load()
+            if frame.num_labels != grid.num_labels:
+                raise ValueError(f"frame {index} has {frame.num_labels} labels, "
+                                 f"but the grid has {grid.num_labels}")
+            result = register_frame(frame, grid.resolution, grid.roi)
+            # drop the frame before the next one loads
+            del frame
             stats.pixels_skipped_depth += result.pixels_skipped_depth
             stats.pixels_skipped_roi += result.pixels_skipped_roi
             grid.update(result.codes, np.clip(result.means, p_min, 1.0 - p_min))

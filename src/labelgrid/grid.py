@@ -29,6 +29,8 @@ KEY_BITS = 21
 KEY_OFFSET = 1 << (KEY_BITS - 1)
 _KEY_MASK = (1 << KEY_BITS) - 1
 
+DEFAULT_CLAMP = 3.5
+
 
 def logit(p: float) -> float:
     """Log-odds of a probability: log(p / (1 - p)). Requires 0 < p < 1."""
@@ -130,7 +132,7 @@ class LabelOccupancyGrid:
     """
 
     def __init__(self, resolution: float, num_labels: int,
-                 clamp: float = 3.5, roi: Optional[Box3] = None):
+                 clamp: float = DEFAULT_CLAMP, roi: Optional[Box3] = None):
         resolution = float(resolution)
         clamp = float(clamp)
         if not (resolution > 0.0 and math.isfinite(resolution)):
@@ -243,8 +245,13 @@ class LabelOccupancyGrid:
         return self.log_odds_matrix[:, self._check_label(label)]
 
     def segment(self, label: int) -> np.ndarray:
-        """(K, 3) int64 keys, in ascending key order, whose probability for
-        ``label`` strictly exceeds 0.5."""
+        """(K, 3) int64 keys, in ascending key order, whose log-odds for
+        ``label`` is strictly above 0.
+
+        That is probability above 0.5 up to rounding: for 0 < v < about
+        2.2e-16, ``probability(v)`` is exactly 0.5, yet the cell is in the
+        segment.
+        """
         return unpack_codes(self._codes[self.label_log_odds(label) > 0.0])
 
     def centroid(self, label: int, segment: Optional[np.ndarray] = None) -> Optional[np.ndarray]:

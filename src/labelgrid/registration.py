@@ -1,13 +1,13 @@
 """Convert labeled depth frames into per-voxel measurement probabilities.
 
 A sensor frame carries a depth image, a per-pixel class probability image
-and the camera pose. Registration deprojects every valid-depth pixel
-through the pinhole model, transforms it to world coordinates, bins it
-into a voxel, and averages the probability vectors of pixels that land in
-the same voxel so each voxel receives exactly one measurement per frame.
-Voxels whose center lies outside the closed region of interest are
-dropped here, the one place the pipeline applies the roi; the float
-centers are tested one axis at a time.
+and the camera pose. Registration maps every valid-depth pixel to a
+camera point through the pinhole model, transforms it to world
+coordinates, bins it into a voxel, and averages the probability vectors
+of pixels that land in the same voxel so each voxel receives exactly one
+measurement per frame. Voxels whose center lies outside the closed
+region of interest are dropped here, the one place the pipeline applies
+the roi; the float centers are tested one axis at a time.
 """
 
 from __future__ import annotations
@@ -60,20 +60,6 @@ def softmax_image(logits) -> np.ndarray:
     shifted = arr - arr.max(axis=2, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=2, keepdims=True)
-
-
-def deproject(pixel, depth_m: float, intrinsics: CameraIntrinsics) -> Optional[np.ndarray]:
-    """Camera-frame 3D point for a pixel, or None when the depth is invalid."""
-    u, v = float(pixel[0]), float(pixel[1])
-    if not (0 <= u < intrinsics.width and 0 <= v < intrinsics.height):
-        raise ValueError(f"pixel ({u}, {v}) outside a {intrinsics.width}x{intrinsics.height} image")
-    if not (math.isfinite(depth_m) and depth_m > 0):
-        return None
-    return np.array([
-        (u - intrinsics.cx) * depth_m / intrinsics.fx,
-        (v - intrinsics.cy) * depth_m / intrinsics.fy,
-        depth_m,
-    ])
 
 
 @dataclass(eq=False)

@@ -228,7 +228,7 @@ ROI_ARG = "0,0,0,0.3,0.3,0.4"
 
 class TestStreamingFuse:
     @pytest.mark.parametrize("field, value, message", [
-        (None, 5, "record 3 must be a JSON object"),
+        (None, 5, "record 3: must be a JSON object, got 5"),
         ("pose", 5, "record 3: pose: must be a JSON object"),
         ("rotation", ["one"] * 9, "record 3: pose: field 'rotation' must be a list of 9 numbers"),
         ("timestamp", math.nan, "record 3: pose: field 'timestamp' must be a number, got nan"),
@@ -275,6 +275,14 @@ class TestStreamingFuse:
                                "--out", tmp_path / "grid.lgrid")
         assert code == 2
         assert f"{path}: probability image entries must lie in [0, 1]" in err
+
+    def test_label_count_mismatch_exits_2_naming_the_frame(self, sim_run, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,
+                               "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        # the default gate fuses from the second still frame on
+        assert err == "error: frame 1 has 40 labels, but the grid has 5\n"
+        assert not (tmp_path / "grid.lgrid").exists()
 
     def test_memory_does_not_grow_with_gated_frames(self, tmp_path, capsys):
         """One decoded frame is held at a time: six moving frames per view
@@ -573,6 +581,20 @@ class TestExport:
                 expected.append(f"{float(x)!r} {float(y)!r} {float(z)!r} {p!r}")
         assert expected
         assert ply.read_text().splitlines()[8:] == expected
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "1.5", "-0.1"])
+    def test_threshold_outside_the_unit_interval_exits_2(self, tmp_path, capsys, threshold):
+        grid = LabelOccupancyGrid(1.0, 4)
+        grid.update_voxel((0, 0, 0), 1, 0.9)
+        snapshot = tmp_path / "one.lgrid"
+        save_grid(snapshot, grid)
+        ply = tmp_path / "out.ply"
+        code, out, err = run_cli(capsys, "export", snapshot, "--label", 1,
+                                 "--threshold", threshold, "--out", ply)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --threshold must lie in [0, 1]")
+        assert not ply.exists()
 
 
 def modules_after(statements: str, package: str, env: dict | None = None) -> list[str]:

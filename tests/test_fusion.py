@@ -186,6 +186,13 @@ class TestFuseStream:
         stats = fuse_stream(grid, [frame], GateConfig(settle_frames=1))
         assert stats.pixels_skipped_depth == 16
 
+    def test_label_count_mismatch_names_the_frame(self):
+        frames = [frame_at(Pose.identity(), 0.0), frame_at(Pose.identity(), 0.1)]
+        grid = LabelOccupancyGrid(0.5, 3)
+        with pytest.raises(ValueError, match="^frame 1 has 2 labels, but the grid has 3$"):
+            fuse_stream(grid, frames, GateConfig())
+        assert len(grid) == 0
+
     def test_gate_config_validation(self):
         with pytest.raises(ValueError):
             GateConfig(linear_eps=-1.0)

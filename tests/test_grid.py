@@ -355,34 +355,51 @@ class TestKeyRange:
 
 # --- batched update against the per-voxel recursion --------------------------
 
-batch_keys = st.sets(st.tuples(*[st.integers(-3, 3)] * 3), min_size=0, max_size=30)
 unit_probs = st.floats(min_value=1e-3, max_value=1.0 - 1e-3)
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.lists(batch_keys, min_size=1, max_size=6),
+@st.composite
+def spread_batches(draw):
+    """Sorted, distinct code batches. After the first, each batch mixes new
+    codes below the stored ones, codes anywhere between the lowest and the
+    highest stored code (stored or not) and new codes above them."""
+    stored: set = set()
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = min(stored, default=KEY_LIMIT), max(stored, default=KEY_LIMIT)
+        below = draw(st.sets(st.integers(lo - 40, lo - 1), max_size=5))
+        between = draw(st.sets(st.integers(lo, hi), max_size=10))
+        above = draw(st.sets(st.integers(hi + 1, hi + 40), max_size=5))
+        batch = sorted(below | between | above)
+        stored.update(batch)
+        batches.append(np.array(batch, dtype=np.int64))
+    return batches
+
+
+@settings(max_examples=200, deadline=None)
+@given(spread_batches(),
        st.data(),
        st.sampled_from([0.5, 2.0, math.inf]),
        st.booleans())
 def test_batched_update_matches_per_voxel_oracle(batches, data, clamp, with_roi):
+    """New codes before, between and after the stored ones land in their
+    sorted rows, and every row gets exactly the per-voxel recursion."""
     labels, resolution = 3, 0.5
     roi = Box3((-1.0, -1.0, -1.0), (1.0, 1.5, 0.75)) if with_roi else None
     grid = LabelOccupancyGrid(resolution, labels, clamp=clamp, roi=roi)
     cells: dict = {}
-    for batch in batches:
-        keys = sorted(batch)
-        probs = np.array(data.draw(st.lists(st.lists(unit_probs, min_size=labels,
-                                                     max_size=labels),
-                                            min_size=len(keys), max_size=len(keys))),
-                         dtype=float).reshape(len(keys), labels)
-        grid.update(pack_keys(np.array(keys, dtype=np.int64).reshape(-1, 3)), probs)
+    for codes in batches:
+        probs = np.array(data.draw(st.lists(unit_probs, min_size=codes.size * labels,
+                                            max_size=codes.size * labels)),
+                         dtype=float).reshape(codes.size, labels)
+        grid.update(codes, probs)
         # the grid's roi is metadata: the grid stores every key, as the
         # oracle does without an roi
-        oracle_update(cells, None, resolution, clamp, keys, probs)
-    keys = [tuple(key) for key in unpack_codes(grid.codes).tolist()]
-    assert keys == sorted(cells)
-    for key, vec in zip(keys, grid.log_odds_matrix):
-        assert vec.tobytes() == cells[key].tobytes()
+        oracle_update(cells, None, resolution, clamp, unpack_codes(codes), probs)
+        assert (np.diff(grid.codes) > 0).all()
+        keys = [tuple(key) for key in unpack_codes(grid.codes).tolist()]
+        assert keys == sorted(cells)
+        assert grid.log_odds_matrix.tobytes() == np.array([cells[k] for k in keys]).tobytes()
 
 
 def test_update_rejects_unsorted_or_duplicate_codes():

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, deproject,
-                       register_frame, softmax_image)
+from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, register_frame,
+                       softmax_image)
 from labelgrid.grid import pack_keys, unpack_codes, voxel_center
 from labelgrid.registration import _STEP_ROWS
 from oracles import oracle_register
@@ -54,28 +54,6 @@ class TestSoftmax:
         logits[2, 1, 0] = np.inf
         with pytest.raises(ValueError, match=r"row=2.*col=1"):
             softmax_image(logits)
-
-
-class TestDeproject:
-    def test_principal_ray(self, intr100):
-        point = deproject((50.0, 50.0), 2.0, intr100)
-        assert np.allclose(point, [0.0, 0.0, 2.0])
-
-    def test_offset_pixel(self, intr100):
-        point = deproject((150.0, 50.0), 1.0, intr100)
-        assert np.allclose(point, [1.0, 0.0, 1.0])
-
-    @pytest.mark.parametrize("depth", [0.0, -1.0, math.nan])
-    def test_invalid_depth_is_none(self, intr100, depth):
-        assert deproject((10.0, 10.0), depth, intr100) is None
-
-    def test_out_of_bounds_pixel_raises(self, intr100):
-        with pytest.raises(ValueError):
-            deproject((250.0, 10.0), 1.0, intr100)
-
-    def test_identity_pose_keeps_coordinates(self, intr100):
-        point = deproject((150.0, 50.0), 1.0, intr100)
-        assert np.allclose(Pose.identity().transform(point), point)
 
 
 class TestIntrinsicsValidation:
@@ -208,9 +186,11 @@ class TestRegisterFrame:
         bins: dict = {}
         for v in range(32):
             for u in range(32):
-                point = deproject((float(u), float(v)), depth[v, u], intr)
-                if point is None:
+                d = depth[v, u]
+                if not d > 0:
                     continue
+                # the pinhole model, written out as the reference
+                point = np.array([(u - intr.cx) * d / intr.fx, (v - intr.cy) * d / intr.fy, d])
                 world = rot.transform(point)
                 key = tuple(int(math.floor(c / res)) for c in world)
                 bins.setdefault(key, []).append(proba[v, u])
