@@ -156,6 +156,21 @@ class TestRegisterFrame:
         assert np.allclose(m.label_p, [0.3, 0.7], atol=1e-15)
         assert result.pixels_skipped_depth == 200 * 200 - 1
 
+    @pytest.mark.parametrize("bad_depth", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_depth_pixel_skipped(self, intr100, bad_depth):
+        depth = np.zeros((200, 200))
+        depth[50, 50] = 2.0  # the principal ray: deprojects to (0, 0, 2)
+        depth[50, 150] = 1.0  # deprojects to (1, 0, 1)
+        depth[10, 10] = bad_depth
+        proba = np.full((200, 200, 2), 0.5)
+        proba[50, 50] = [0.1, 0.9]
+        proba[50, 150] = [0.8, 0.2]
+        result = register_frame(make_frame(depth, proba, intr100), 0.5)
+        got = {m.key: m.label_p.tolist() for m in result.measurements}
+        assert got == {(0, 0, 4): [0.1, 0.9], (2, 0, 2): [0.8, 0.2]}
+        assert result.pixels_skipped_depth == 200 * 200 - 2
+        assert result.pixels_skipped_roi == 0
+
     def test_same_voxel_pixels_averaged(self, intr100):
         depth = np.zeros((200, 200))
         depth[50, 50] = 1.0
