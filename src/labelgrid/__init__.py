@@ -17,8 +17,8 @@ _EXPORTS = {
     **dict.fromkeys(["LabelOccupancyGrid", "logit", "probability", "voxel_center"], "grid"),
     **dict.fromkeys(["ConfusionMatrix", "IouReport", "confusion", "iou_3d", "mean_iu",
                      "pixelwise_accuracy"], "metrics"),
-    **dict.fromkeys(["CameraIntrinsics", "RegistrationResult", "SensorFrame",
-                     "VoxelMeasurement", "register_frame", "softmax_image"], "registration"),
+    **dict.fromkeys(["CameraIntrinsics", "RegistrationResult", "SensorFrame", "register_frame",
+                     "softmax_image"], "registration"),
 }
 
 __all__ = sorted(_EXPORTS)

@@ -78,20 +78,31 @@ def cmd_fuse(args) -> int:
     gate = GateConfig(args.linear_eps, args.angular_eps, args.settle_frames)
 
     on_frame = None
+    written = []
     if args.per_frame_snapshots:
         snap_dir = Path(args.per_frame_snapshots)
+        # eval reads every .lgrid in the directory, so it holds one run's curve
+        if any(snap_dir.glob("*.lgrid")):
+            raise ValueError(f"--per-frame-snapshots: {snap_dir} already holds .lgrid files")
         snap_dir.mkdir(parents=True, exist_ok=True)
 
         def on_frame(index, item, fused):
             # a gated frame leaves the grid as it was: copy the last snapshot
             path = snap_dir / f"frame_{index:04d}.lgrid"
+            written.append(path)
             if fused or index == 0:
                 fileio.save_grid(path, grid)
             else:
                 shutil.copyfile(snap_dir / f"frame_{index - 1:04d}.lgrid", path)
 
-    stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)
-    fileio.save_grid(args.out, grid)
+    try:
+        stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)
+        fileio.save_grid(args.out, grid)
+    except BaseException:
+        # a failed run leaves no partial curve behind
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
     config = {"resolution": grid.resolution, "num_labels": grid.num_labels,
               "clamp": grid.clamp, "p_min": args.p_min, **dataclasses.asdict(gate),
               "roi": None if roi is None else list(roi.min + roi.max)}

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Protocol
 
 import numpy as np
 
-from .geometry import Pose, is_integral, rotation_angle
+from .geometry import Pose, integer, rotation_angle
 from .grid import LabelOccupancyGrid
 from .registration import SensorFrame, register_frame
 
@@ -33,10 +33,7 @@ class GateConfig:
         if self.linear_eps < 0 or self.angular_eps < 0 or math.isnan(self.linear_eps) \
                 or math.isnan(self.angular_eps):
             raise ValueError("velocity thresholds must be >= 0")
-        settle = self.settle_frames
-        if not (is_integral(settle) and settle >= 1):
-            raise ValueError(f"settle_frames must be an integer >= 1, got {settle!r}")
-        object.__setattr__(self, "settle_frames", int(settle))
+        object.__setattr__(self, "settle_frames", integer("settle_frames", self.settle_frames, 1))
 
     @classmethod
     def disabled(cls) -> "GateConfig":

@@ -11,11 +11,24 @@ import numpy as np
 Vec3 = tuple[float, float, float]
 
 
-def is_integral(value) -> bool:
-    """Whether ``value`` is an integer or an integral real number; a bool,
-    which ``int()`` would turn into 0 or 1, is not, nor is NaN or inf."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or float(value).is_integer()))
+def integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer or an integral real number
+    at or above ``low`` and, when ``high`` is given, below it; otherwise a
+    ``ValueError`` naming ``name``. A bool, which ``int()`` would turn into
+    0 or 1, is not an integer, nor is NaN or inf."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())
+            and low <= value and (high is None or value < high)):
+        return int(value)
+    bounds = f">= {low}" if high is None else f"in [{low}, {high})"
+    raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def positive_finite(name: str, value) -> None:
+    """Raise a ``ValueError`` naming ``name`` unless ``0 < value < inf``;
+    the comparison is written so that NaN, which fails it, is rejected."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Box3, is_integral
+from .geometry import Box3, integer, positive_finite
 
 KEY_BITS = 21
 KEY_OFFSET = 1 << (KEY_BITS - 1)
@@ -135,11 +135,8 @@ class LabelOccupancyGrid:
                  clamp: float = DEFAULT_CLAMP, roi: Optional[Box3] = None):
         resolution = float(resolution)
         clamp = float(clamp)
-        if not (resolution > 0.0 and math.isfinite(resolution)):
-            raise ValueError(f"resolution must be a positive finite number, got {resolution}")
-        if not (is_integral(num_labels) and num_labels >= 2):
-            raise ValueError(f"num_labels must be an integer >= 2, got {num_labels!r}")
-        num_labels = int(num_labels)
+        positive_finite("resolution", resolution)
+        num_labels = integer("num_labels", num_labels, 2)
         if not clamp > 0.0 or math.isnan(clamp):
             raise ValueError(f"clamp must be > 0, got {clamp}")
         if roi is not None and not isinstance(roi, Box3):
@@ -173,10 +170,7 @@ class LabelOccupancyGrid:
         return self._codes.shape[0]
 
     def _check_label(self, label: int) -> int:
-        if not (is_integral(label) and 0 <= label < self._num_labels):
-            raise ValueError(f"label must be an integer in [0, {self._num_labels - 1}], "
-                             f"got {label!r}")
-        return int(label)
+        return integer("label", label, 0, self._num_labels)
 
     def update(self, codes, probs) -> None:
         """Add one measurement vector per voxel, for a batch of distinct voxels.

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box3
+from .geometry import Box3, positive_finite
 
 
 @dataclass(frozen=True)
@@ -29,8 +28,7 @@ def iou_3d(voxels, resolution: float, gt: Box3) -> IouReport:
     and iou = v_tp / (v_tp + v_fp + v_fn). Volumes are summed in key order,
     so the result does not depend on the order the keys come in.
     """
-    if not 0 < resolution < math.inf:
-        raise ValueError(f"resolution must be positive and finite, got {resolution}")
+    positive_finite("resolution", resolution)
     if not isinstance(voxels, np.ndarray):
         voxels = list(voxels)
     keys = np.asarray(voxels, dtype=float).reshape(-1, 3)

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .geometry import Box3, Pose, is_integral
+from .geometry import Box3, Pose, integer, positive_finite
 from .grid import pack_keys, unpack_codes, voxel_center
 
 
@@ -35,14 +35,9 @@ class CameraIntrinsics:
 
     def __post_init__(self) -> None:
         for name in ("width", "height"):
-            value = getattr(self, name)
-            if not is_integral(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not (self.width > 0 and self.height > 0):
-            raise ValueError("image dimensions must be positive")
-        if not (0 < self.fx < math.inf and 0 < self.fy < math.inf):
-            raise ValueError("focal lengths must be positive and finite")
+            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
+        positive_finite("fx", self.fx)
+        positive_finite("fy", self.fy)
         # also rejects a NaN or infinite principal point
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
@@ -111,13 +106,6 @@ class SensorFrame:
         return self
 
 
-class VoxelMeasurement(NamedTuple):
-    """Aggregated probability vector for one voxel within one frame."""
-
-    key: tuple[int, int, int]
-    label_p: np.ndarray
-
-
 @dataclass
 class RegistrationResult:
     """Per-voxel mean probabilities of one frame.
@@ -133,10 +121,10 @@ class RegistrationResult:
     pixels_skipped_roi: int
 
     @property
-    def measurements(self) -> list[VoxelMeasurement]:
-        """The result as one (key, probabilities) pair per voxel, in key order."""
-        keys = unpack_codes(self.codes).tolist()
-        return [VoxelMeasurement(tuple(k), row) for k, row in zip(keys, self.means)]
+    def measurements(self) -> list[tuple[tuple[int, int, int], np.ndarray]]:
+        """One ``(key, probabilities)`` pair per voxel, in key order. Only the
+        benchmark harness reads it; the pipeline uses ``codes`` and ``means``."""
+        return [(tuple(k), row) for k, row in zip(unpack_codes(self.codes).tolist(), self.means)]
 
 
 # runs longer than this finish with one np.add.accumulate, so the row
@@ -197,8 +185,7 @@ def register_frame(frame: SensorFrame, resolution: float,
     row-major order, then divides by the pixel count. A kept voxel key
     outside [-2**20, 2**20) on any axis raises ``ValueError``.
     """
-    if resolution <= 0:
-        raise ValueError(f"resolution must be positive, got {resolution}")
+    positive_finite("resolution", resolution)
     intr = frame.intrinsics
     depth = frame.depth
     valid = np.isfinite(depth) & (depth > 0)

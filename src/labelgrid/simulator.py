@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .geometry import Box3, Pose, is_integral, look_at, slerp
+from .geometry import Box3, Pose, integer, look_at, positive_finite, slerp
 from .registration import CameraIntrinsics, SensorFrame
 
 
@@ -42,9 +42,7 @@ class NoiseModel:
             raise ValueError(f"confidence must lie in (0.5, 1), got {self.confidence}")
         if not 0.0 <= self.flip_rate < 0.5:
             raise ValueError(f"flip_rate must lie in [0, 0.5), got {self.flip_rate}")
-        if not (is_integral(self.seed) and 0 <= self.seed < 2 ** 64):
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0, 2 ** 64))
 
 
 @dataclass
@@ -56,11 +54,8 @@ class Scene:
     roi: Box3
 
     def __post_init__(self) -> None:
-        for label, _ in self.objects:
-            if not (is_integral(label) and label >= 1):
-                raise ValueError(f"object label must be an integer >= 1 (0 is background), "
-                                 f"got {label!r}")
-        self.objects = [(int(label), box) for label, box in self.objects]
+        # label 0 is the background
+        self.objects = [(integer("object label", label, 1), box) for label, box in self.objects]
         if len({label for label, _ in self.objects}) != len(self.objects):
             raise ValueError("object labels must be unique within a scene")
 
@@ -78,9 +73,7 @@ class Waypoint:
     def __post_init__(self) -> None:
         if not math.isfinite(self.timestamp):
             raise ValueError(f"waypoint timestamp must be finite, got {self.timestamp!r}")
-        if not (is_integral(self.hold_frames) and self.hold_frames >= 1):
-            raise ValueError(f"hold_frames must be an integer >= 1, got {self.hold_frames!r}")
-        object.__setattr__(self, "hold_frames", int(self.hold_frames))
+        object.__setattr__(self, "hold_frames", integer("hold_frames", self.hold_frames, 1))
 
 
 @dataclass
@@ -100,12 +93,8 @@ class Trajectory:
     def __post_init__(self) -> None:
         if not self.waypoints:
             raise ValueError("trajectory needs at least one waypoint")
-        if not 0 < self.frame_dt < math.inf:
-            raise ValueError(f"frame_dt must be positive and finite, got {self.frame_dt!r}")
-        if not (is_integral(self.transition_frames) and self.transition_frames >= 0):
-            raise ValueError(f"transition_frames must be an integer >= 0, "
-                             f"got {self.transition_frames!r}")
-        self.transition_frames = int(self.transition_frames)
+        positive_finite("frame_dt", self.frame_dt)
+        self.transition_frames = integer("transition_frames", self.transition_frames, 0)
         for prev, curr in zip(self.waypoints, self.waypoints[1:]):
             prev_end = prev.timestamp + (prev.hold_frames - 1) * self.frame_dt
             if curr.timestamp <= prev_end:
@@ -245,8 +234,7 @@ def _proba_table(noise: NoiseModel, num_labels: int) -> np.ndarray:
     elsewhere; the float sum of the row is then corrected to 1 within one
     ulp at k.
     """
-    if num_labels < 2:
-        raise ValueError("need at least two labels")
+    integer("num_labels", num_labels, 2)
     share = (1.0 - noise.confidence) / (num_labels - 1)
     table = np.full((num_labels, num_labels), share)
     diag = np.arange(num_labels)

@@ -92,7 +92,7 @@ class TestSimulate:
                                "--trajectory", paths["trajectory"],
                                "--seed", seed, "--out", tmp_path / "o")
         assert code == 2
-        assert f"seed must be an integer in [0, 2**64), got {seed}" in err
+        assert f"seed must be an integer in [0, {2 ** 64}), got {seed}" in err
         assert not (tmp_path / "o").exists()
 
     def test_rerun_same_seed_identical_bytes(self, tmp_path, capsys):
@@ -185,6 +185,27 @@ class TestFuse:
         assert len(snaps) == 16
         # final per-frame snapshot equals the emitted snapshot
         assert snaps[-1].read_bytes() == (tmp_path / "grid.lgrid").read_bytes()
+
+    def test_snapshot_directory_holding_a_curve_exits_2(self, sim_run, tmp_path, capsys):
+        # eval reads every .lgrid in the directory: a second run would mix two curves
+        snapdir = tmp_path / "snaps"
+        argv = ["fuse", sim_run["manifest"], "--per-frame-snapshots", snapdir]
+        assert run_cli(capsys, *argv, "--out", tmp_path / "a.lgrid")[0] == 0
+        before = {path: path.read_bytes() for path in snapdir.iterdir()}
+        code, _, err = run_cli(capsys, *argv, "--settle-frames", 1, "--out", tmp_path / "b.lgrid")
+        assert code == 2
+        assert f"--per-frame-snapshots: {snapdir} already holds .lgrid files" in err
+        assert {path: path.read_bytes() for path in snapdir.iterdir()} == before
+        assert not (tmp_path / "b.lgrid").exists()
+
+    def test_failed_fuse_deletes_its_snapshots(self, sim_run, tmp_path, capsys):
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,
+                               "--per-frame-snapshots", snapdir, "--out", tmp_path / "g.lgrid")
+        assert code == 2
+        # frame 0 is written before frame 1, the first fused one, fails
+        assert "frame 1 has 40 labels, but the grid has 5" in err
+        assert list(snapdir.glob("*.lgrid")) == []
 
 
     def test_keys_past_the_range_exit_2(self, tmp_path, capsys):

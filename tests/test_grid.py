@@ -126,7 +126,7 @@ class TestUpdateVoxel:
         # int() would take 1.9 and True as label 1
         g = LabelOccupancyGrid(0.01, 4)
         for label in (1.9, True, "1", math.nan, -1):
-            with pytest.raises(ValueError, match=r"label must be an integer in \[0, 3\], got"):
+            with pytest.raises(ValueError, match=r"label must be an integer in \[0, 4\), got"):
                 g.update_voxel((0, 0, 0), label, 0.9)
             with pytest.raises(ValueError, match="label must be an integer"):
                 g.segment(label)

@@ -68,17 +68,17 @@ class TestIntrinsicsValidation:
             CameraIntrinsics(**kwargs)
 
     @pytest.mark.parametrize("change, message", [
-        ({"width": 0}, "image dimensions must be positive"),
-        ({"height": -1}, "image dimensions must be positive"),
-        ({"width": math.nan}, "width must be an integer, got nan"),
-        ({"fx": math.inf}, "focal lengths must be positive and finite"),
-        ({"fy": math.nan}, "focal lengths must be positive and finite"),
+        ({"width": 0}, "width must be an integer >= 1, got 0"),
+        ({"height": -1}, "height must be an integer >= 1, got -1"),
+        ({"width": math.nan}, "width must be an integer >= 1, got nan"),
+        ({"fx": math.inf}, "fx must be positive and finite, got inf"),
+        ({"fy": math.nan}, "fy must be positive and finite, got nan"),
         ({"cx": math.nan}, "principal point must lie inside the image"),
         ({"cy": math.inf}, "principal point must lie inside the image"),
-        ({"width": 4.5}, r"width must be an integer, got 4\.5"),
-        ({"height": math.inf}, "height must be an integer, got inf"),
-        ({"height": True}, "height must be an integer, got True"),
-        ({"width": "4"}, "width must be an integer, got '4'"),
+        ({"width": 4.5}, r"width must be an integer >= 1, got 4\.5"),
+        ({"height": math.inf}, "height must be an integer >= 1, got inf"),
+        ({"height": True}, "height must be an integer >= 1, got True"),
+        ({"width": "4"}, "width must be an integer >= 1, got '4'"),
     ])
     def test_rejects_non_finite_values_and_empty_images(self, change, message):
         kwargs = {"fx": 1.0, "fy": 1.0, "cx": 0.0, "cy": 0.0, "width": 4, "height": 4}
@@ -124,6 +124,11 @@ class TestSensorFrameValidation:
             make_frame(np.ones((100, 200)), np.full((200, 200, 2), 0.5), intr100)
 
 
+def voxel_means(result) -> dict:
+    """A registration result as ``{(ix, iy, iz): mean row}``."""
+    return {tuple(key): row for key, row in zip(unpack_codes(result.codes).tolist(), result.means)}
+
+
 class TestRegisterFrame:
     def test_all_invalid_depth(self, intr100):
         depth = np.zeros((200, 200))
@@ -150,10 +155,8 @@ class TestRegisterFrame:
         proba[..., 0] = 0.3
         proba[..., 1] = 0.7
         result = register_frame(make_frame(depth, proba, intr100), 0.01)
-        assert len(result.measurements) == 1
-        m = result.measurements[0]
-        assert m.key == (100, 0, 100)
-        assert np.allclose(m.label_p, [0.3, 0.7], atol=1e-15)
+        assert unpack_codes(result.codes).tolist() == [[100, 0, 100]]
+        assert np.allclose(result.means[0], [0.3, 0.7], atol=1e-15)
         assert result.pixels_skipped_depth == 200 * 200 - 1
 
     @pytest.mark.parametrize("bad_depth", [0.0, -1.0, math.nan, math.inf])
@@ -166,7 +169,7 @@ class TestRegisterFrame:
         proba[50, 50] = [0.1, 0.9]
         proba[50, 150] = [0.8, 0.2]
         result = register_frame(make_frame(depth, proba, intr100), 0.5)
-        got = {m.key: m.label_p.tolist() for m in result.measurements}
+        got = {key: row.tolist() for key, row in voxel_means(result).items()}
         assert got == {(0, 0, 4): [0.1, 0.9], (2, 0, 2): [0.8, 0.2]}
         assert result.pixels_skipped_depth == 200 * 200 - 2
         assert result.pixels_skipped_roi == 0
@@ -180,8 +183,8 @@ class TestRegisterFrame:
         proba[50, 51] = [0.4, 0.6]
         proba[depth == 0] = [0.5, 0.5]
         result = register_frame(make_frame(depth, proba, intr100), 1.0)
-        assert len(result.measurements) == 1
-        assert np.allclose(result.measurements[0].label_p, [0.3, 0.7], atol=1e-15)
+        assert result.codes.shape == (1,)
+        assert np.allclose(result.means[0], [0.3, 0.7], atol=1e-15)
 
     def test_matches_per_pixel_oracle(self):
         """Brute-force per-pixel binning oracle on a random frame."""
@@ -211,7 +214,7 @@ class TestRegisterFrame:
                 bins.setdefault(key, []).append(proba[v, u])
 
         result = register_frame(frame, res)
-        got = {m.key: m.label_p for m in result.measurements}
+        got = voxel_means(result)
         assert set(got) == set(bins)
         for key, contributions in bins.items():
             assert np.allclose(got[key], np.mean(contributions, axis=0), atol=1e-12)
@@ -229,8 +232,8 @@ class TestRegisterFrame:
         raw = rng.uniform(0.01, 1.0, size=(200, 200, 5))
         proba = raw / raw.sum(axis=2, keepdims=True)
         result = register_frame(make_frame(depth, proba, intr100), 0.05)
-        for m in result.measurements:
-            assert m.label_p.sum() == pytest.approx(1.0, abs=1e-5)
+        for row in result.means:
+            assert row.sum() == pytest.approx(1.0, abs=1e-5)
 
     def test_roi_keeps_only_centers_inside(self, intr100):
         roi = Box3((-0.2, -0.2, 0.5), (0.2, 0.2, 1.5))
@@ -240,15 +243,12 @@ class TestRegisterFrame:
         frame = make_frame(depth, proba, intr100)
         result = register_frame(frame, 0.05, roi=roi)
         unfiltered = register_frame(frame, 0.05)
-        for m in result.measurements:
-            center = (np.asarray(m.key) + 0.5) * 0.05
-            assert roi.contains(center)
-        dropped = {m.key for m in unfiltered.measurements} - {m.key for m in result.measurements}
-        for key in dropped:
-            assert not roi.contains((np.asarray(key) + 0.5) * 0.05)
+        for key in unpack_codes(result.codes):
+            assert roi.contains((key + 0.5) * 0.05)
+        for key in unpack_codes(np.setdiff1d(unfiltered.codes, result.codes)):
+            assert not roi.contains((key + 0.5) * 0.05)
         assert result.pixels_skipped_roi > 0
-        assert result.pixels_skipped_roi + sum(
-            1 for _ in result.measurements) <= 200 * 200
+        assert result.pixels_skipped_roi + result.codes.shape[0] <= 200 * 200
 
     def test_deterministic_output_order(self, intr100):
         rng = np.random.default_rng(12)
@@ -257,8 +257,16 @@ class TestRegisterFrame:
         frame = make_frame(depth, proba, intr100)
         a = register_frame(frame, 0.05)
         b = register_frame(frame, 0.05)
-        assert [m.key for m in a.measurements] == [m.key for m in b.measurements]
-        assert [m.key for m in a.measurements] == sorted(m.key for m in a.measurements)
+        keys = unpack_codes(a.codes).tolist()
+        assert keys == unpack_codes(b.codes).tolist()
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("roi", [None, Box3((-1, -1, 0), (1, 1, 2))])
+    def test_rejects_a_resolution_that_is_not_positive_and_finite(self, intr100, resolution, roi):
+        frame = make_frame(np.full((200, 200), 1.0), np.full((200, 200, 2), 0.5), intr100)
+        with pytest.raises(ValueError, match="^resolution must be positive and finite, got"):
+            register_frame(frame, resolution, roi)
 
     def test_keys_past_the_range_rejected(self, intr100):
         depth = np.full((200, 200), 1.0)
@@ -278,7 +286,7 @@ class TestRegisterFrame:
         proba = np.full((200, 200, 2), 0.5)
         for z in (2 ** 20 - 1, -(2 ** 20 - 1), -(2 ** 20)):
             frame = make_frame(depth, proba, intr100, Pose(np.eye(3), [0.5, 0.5, z - 0.5]))
-            assert [m.key for m in register_frame(frame, 1.0).measurements] == [(0, 0, z)]
+            assert unpack_codes(register_frame(frame, 1.0).codes).tolist() == [[0, 0, z]]
 
 
 @pytest.mark.parametrize("with_roi", [False, True])
