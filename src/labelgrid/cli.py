@@ -85,15 +85,17 @@ def cmd_fuse(args) -> int:
         if any(snap_dir.glob("*.lgrid")):
             raise ValueError(f"--per-frame-snapshots: {snap_dir} already holds .lgrid files")
         snap_dir.mkdir(parents=True, exist_ok=True)
+        # one width per run, so that eval's name order is frame order
+        digits = max(4, len(str(len(records) - 1)))
 
         def on_frame(index, item, fused):
             # a gated frame leaves the grid as it was: copy the last snapshot
-            path = snap_dir / f"frame_{index:04d}.lgrid"
+            path = snap_dir / f"frame_{index:0{digits}d}.lgrid"
             written.append(path)
             if fused or index == 0:
                 fileio.save_grid(path, grid)
             else:
-                shutil.copyfile(snap_dir / f"frame_{index - 1:04d}.lgrid", path)
+                shutil.copyfile(snap_dir / f"frame_{index - 1:0{digits}d}.lgrid", path)
 
     try:
         stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)

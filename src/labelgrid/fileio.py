@@ -406,14 +406,13 @@ class FrameRecord:
     base_dir: Path
     timestamp: float
     pose: Pose
-    intrinsics: CameraIntrinsics
 
     @classmethod
     def parse(cls, index: int, record, manifest_path) -> "FrameRecord":
         """Check record ``index`` of a manifest without opening its image files."""
         where = f"{manifest_path}: record {index}"
-        pose, intr, timestamp, _ = _nested(where, _check_frame_record, record)
-        return cls(record, Path(manifest_path).parent, timestamp, pose, intr)
+        pose, _, timestamp, _ = _nested(where, _check_frame_record, record)
+        return cls(record, Path(manifest_path).parent, timestamp, pose)
 
     def load(self) -> SensorFrame:
         return load_frame(self.record, self.base_dir)

@@ -30,8 +30,8 @@ class GateConfig:
     settle_frames: int = 2
 
     def __post_init__(self) -> None:
-        if self.linear_eps < 0 or self.angular_eps < 0 or math.isnan(self.linear_eps) \
-                or math.isnan(self.angular_eps):
+        # written so that a NaN threshold fails too
+        if not (self.linear_eps >= 0 and self.angular_eps >= 0):
             raise ValueError("velocity thresholds must be >= 0")
         object.__setattr__(self, "settle_frames", integer("settle_frames", self.settle_frames, 1))
 
@@ -112,7 +112,7 @@ def fuse_stream(grid: LabelOccupancyGrid,
         stationary_run = stationary_run + 1 if stationary else 0
 
         stats.frames_total += 1
-        fused = stationary and stationary_run >= gate.settle_frames
+        fused = stationary_run >= gate.settle_frames
         if fused:
             frame = item.load()
             if frame.num_labels != grid.num_labels:

@@ -33,10 +33,11 @@ DEFAULT_CLAMP = 3.5
 
 
 def logit(p: float) -> float:
-    """Log-odds of a probability: log(p / (1 - p)). Requires 0 < p < 1."""
+    """Log-odds log(p / (1 - p)) in float64, the value ``update`` adds. Requires 0 < p < 1."""
+    p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"logit requires 0 < p < 1, got {p}")
-    return math.log(p / (1.0 - p))
+    return float(np.log(p / (1.0 - p)))
 
 
 def probability(log_odds: float) -> float:
@@ -137,12 +138,11 @@ class LabelOccupancyGrid:
         clamp = float(clamp)
         positive_finite("resolution", resolution)
         num_labels = integer("num_labels", num_labels, 2)
-        if not clamp > 0.0 or math.isnan(clamp):
+        if not clamp > 0.0:
             raise ValueError(f"clamp must be > 0, got {clamp}")
         if roi is not None and not isinstance(roi, Box3):
             raise TypeError("roi must be a Box3 or None")
         self._resolution = resolution
-        self._num_labels = num_labels
         self.clamp = clamp
         self.roi = roi
         self._codes = np.empty(0, dtype=np.int64)
@@ -154,7 +154,7 @@ class LabelOccupancyGrid:
 
     @property
     def num_labels(self) -> int:
-        return self._num_labels
+        return self._values.shape[1]
 
     @property
     def codes(self) -> np.ndarray:
@@ -170,7 +170,7 @@ class LabelOccupancyGrid:
         return self._codes.shape[0]
 
     def _check_label(self, label: int) -> int:
-        return integer("label", label, 0, self._num_labels)
+        return integer("label", label, 0, self.num_labels)
 
     def update(self, codes, probs) -> None:
         """Add one measurement vector per voxel, for a batch of distinct voxels.
@@ -184,8 +184,8 @@ class LabelOccupancyGrid:
         """
         codes = _sorted_codes(codes)
         p = np.asarray(probs, dtype=float)
-        if p.shape != (codes.shape[0], self._num_labels):
-            raise ValueError(f"expected ({codes.shape[0]}, {self._num_labels}) probabilities, "
+        if p.shape != (codes.shape[0], self.num_labels):
+            raise ValueError(f"expected ({codes.shape[0]}, {self.num_labels}) probabilities, "
                              f"got shape {p.shape}")
         if not ((p > 0.0) & (p < 1.0)).all():
             raise ValueError("measurement probabilities must lie strictly in (0, 1)")
@@ -265,8 +265,8 @@ class LabelOccupancyGrid:
         """
         codes = _sorted_codes(codes)
         values = np.array(values, dtype=float)
-        if values.shape != (codes.shape[0], self._num_labels):
-            raise ValueError(f"expected {codes.shape[0]} x {self._num_labels} log-odds values, "
+        if values.shape != (codes.shape[0], self.num_labels):
+            raise ValueError(f"expected {codes.shape[0]} x {self.num_labels} log-odds values, "
                              f"got shape {values.shape}")
         self._codes = codes.copy()
         self._values = values
@@ -275,7 +275,6 @@ class LabelOccupancyGrid:
         if not isinstance(other, LabelOccupancyGrid):
             return NotImplemented
         return (self._resolution == other._resolution
-                and self._num_labels == other._num_labels
                 and self.clamp == other.clamp
                 and self.roi == other.roi
                 and np.array_equal(self._codes, other._codes)

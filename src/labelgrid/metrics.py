@@ -33,17 +33,11 @@ def iou_3d(voxels, resolution: float, gt: Box3) -> IouReport:
         voxels = list(voxels)
     keys = np.asarray(voxels, dtype=float).reshape(-1, 3)
     keys = keys[np.lexsort(keys.T[::-1])]
-    count = keys.shape[0]
-    if count:
-        cube_min = keys * resolution
-        cube_max = (keys + 1.0) * resolution
-        extent = np.clip(np.minimum(cube_max, gt.max) - np.maximum(cube_min, gt.min),
-                         0.0, None)
-        v_tp = float(extent.prod(axis=1).sum())
-    else:
-        v_tp = 0.0
+    extent = np.clip(np.minimum((keys + 1.0) * resolution, gt.max)
+                     - np.maximum(keys * resolution, gt.min), 0.0, None)
+    v_tp = float(extent.prod(axis=1).sum())
     # clip float residue so reported volumes stay non-negative
-    v_fp = max(0.0, count * resolution ** 3 - v_tp)
+    v_fp = max(0.0, len(keys) * resolution ** 3 - v_tp)
     v_fn = max(0.0, gt.volume - v_tp)
     denom = v_tp + v_fp + v_fn
     iou = v_tp / denom if denom > 0 else 0.0
@@ -65,10 +59,6 @@ class ConfusionMatrix:
         if (counts < 0).any():
             raise ValueError("confusion matrix counts must be non-negative")
         self.counts = counts
-
-    @property
-    def num_labels(self) -> int:
-        return self.counts.shape[0]
 
     @property
     def total(self) -> int:

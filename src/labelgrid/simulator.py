@@ -357,7 +357,8 @@ def _waypoint_from_json(obj: dict) -> Waypoint:
     else:
         pose = Pose(fileio._numbers(obj, "rotation", 9).reshape(3, 3),
                     fileio._numbers(obj, "translation", 3))
-    hold_frames = fileio._integer(obj, "hold_frames") if "hold_frames" in obj else 1
+    hold_frames = (fileio._integer(obj, "hold_frames") if "hold_frames" in obj
+                   else Waypoint.hold_frames)
     return Waypoint(pose=pose, timestamp=fileio._number(obj, "timestamp"),
                     hold_frames=hold_frames)
 
@@ -374,9 +375,9 @@ def trajectory_from_json(obj: dict) -> tuple[Trajectory, CameraIntrinsics]:
                                 fileio._field(obj, "intrinsics"))
     trajectory = Trajectory(
         waypoints=fileio._list(obj, "waypoints", _waypoint_from_json),
-        frame_dt=fileio._number(obj, "frame_dt") if "frame_dt" in obj else 0.25,
+        frame_dt=fileio._number(obj, "frame_dt") if "frame_dt" in obj else Trajectory.frame_dt,
         transition_frames=(fileio._integer(obj, "transition_frames")
-                           if "transition_frames" in obj else 0),
+                           if "transition_frames" in obj else Trajectory.transition_frames),
     )
     return trajectory, intrinsics
 

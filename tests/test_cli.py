@@ -473,6 +473,31 @@ class TestEval:
         assert all(b >= a for a, b in zip(per_view, per_view[1:]))
         assert per_view[-1] > per_view[0] > 0.0
 
+    def test_curve_stays_in_frame_order_past_frame_9999(self, tmp_path, capsys):
+        """10,001 frames name their snapshots with five digits, so the
+        curve's name order is frame order up to the last frame."""
+        from labelgrid import CameraIntrinsics, Pose
+        from labelgrid.fileio import pose_record, write_depth_pgm, write_probimg
+
+        intr = CameraIntrinsics(fx=2.0, fy=2.0, cx=1.0, cy=1.0, width=2, height=2)
+        write_depth_pgm(tmp_path / "d.pgm", np.full((2, 2), 1.0))
+        write_probimg(tmp_path / "p.probimg", np.full((2, 2, 2), 0.5))
+        write_manifest(tmp_path / "manifest.json", [
+            {"depth_file": "d.pgm", "proba_file": "p.probimg",
+             "pose": pose_record(Pose.identity(), intr, 0.1 * i)} for i in range(10_001)])
+        boxes = tmp_path / "boxes.json"
+        boxes.write_text(json.dumps([{"label": 1, "min": [0, 0, 0], "max": [1, 1, 1]}]))
+        snapdir = tmp_path / "snaps"
+        # no frame passes the gate: frame 0 is saved and every later one copied
+        code, _, err = run_cli(capsys, "fuse", tmp_path / "manifest.json", "--num-labels", 2,
+                               "--settle-frames", 10_002, "--per-frame-snapshots", snapdir,
+                               "--out", tmp_path / "grid.lgrid")
+        assert code == 0, err
+        code, out, err = run_cli(capsys, "eval", snapdir, "--boxes", boxes)
+        assert code == 0, err
+        names = [line.split(",")[0] for line in out.splitlines()[1:]]
+        assert names == [f"frame_{i:05d}.lgrid" for i in range(10_001)]
+
     def test_curve_rescores_each_change_of_bytes(self, tmp_path, capsys):
         """A, A, B, B, A with B the size of A but one later cell changed: the
         curve equals scoring every file on its own."""

@@ -196,6 +196,12 @@ class TestFuseStream:
     def test_gate_config_validation(self):
         with pytest.raises(ValueError):
             GateConfig(linear_eps=-1.0)
+        for name in ("linear_eps", "angular_eps"):
+            for bad in (-0.5, math.nan):
+                with pytest.raises(ValueError, match="velocity thresholds"):
+                    GateConfig(**{name: bad})
+            for good in (0.0, math.inf):
+                assert getattr(GateConfig(**{name: good}), name) == good
         for settle in (0, 2.7, True, math.nan, math.inf):
             with pytest.raises(ValueError, match="settle_frames"):
                 GateConfig(settle_frames=settle)

@@ -148,6 +148,31 @@ class TestUpdateVoxel:
         assert np.array_equal(a.codes, b.codes)
         assert np.allclose(a.log_odds_matrix, b.log_odds_matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("p", [0.476, 0.492, 0.494, 0.504, np.float32(0.3)])
+    def test_scalar_update_stores_the_bits_of_a_one_row_update(self, p):
+        assert_one_logit(p, 1)
+
+
+def assert_one_logit(p, label):
+    """``update_voxel`` and a one-row ``update`` with 0.5 at every other
+    label add the same logit, so they store equal bits."""
+    key = (1, -2, 3)
+    scalar = LabelOccupancyGrid(0.01, 3, clamp=math.inf)
+    vector = LabelOccupancyGrid(0.01, 3, clamp=math.inf)
+    row = np.full((1, 3), 0.5)
+    row[0, label] = p
+    for _ in range(2):
+        scalar.update_voxel(key, label, p)
+        vector.update(np.array([pack_key(key)]), row)
+    assert scalar == vector
+    assert scalar.log_odds_matrix.tobytes() == vector.log_odds_matrix.tobytes()
+
+
+@given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.integers(0, 2))
+def test_scalar_and_vector_updates_take_one_logit(p, label):
+    assert_one_logit(p, label)
+
 
 class TestVoxelProbability:
     def test_absent_voxel_is_unknown(self):
@@ -295,6 +320,7 @@ class TestConstruction:
         {"resolution": 0.01, "num_labels": 1},
         {"resolution": 0.01, "num_labels": 2, "clamp": 0.0},
         {"resolution": 0.01, "num_labels": 2, "clamp": -3.0},
+        {"resolution": 0.01, "num_labels": 2, "clamp": math.nan},
         {"resolution": 0.005, "num_labels": math.nan},
         {"resolution": 0.005, "num_labels": "40"},
     ])
@@ -308,6 +334,12 @@ class TestConstruction:
         for num_labels in (np.int64(40), 40.0):
             g = LabelOccupancyGrid(0.005, num_labels)
             assert g.num_labels == 40 and type(g.num_labels) is int
+
+    def test_label_count_is_the_matrix_width(self):
+        g = LabelOccupancyGrid(0.01, 3)
+        assert g != LabelOccupancyGrid(0.01, 2)
+        g.set_cells([pack_key((0, 0, 0))], [[0.1, 0.2, 0.3]])
+        assert g.num_labels == 3 and type(g.num_labels) is int
 
     def test_infinite_clamp_allowed(self):
         g = LabelOccupancyGrid(0.01, 2, clamp=math.inf)
