@@ -82,6 +82,10 @@ def cmd_fuse(args) -> int:
     if args.per_frame_snapshots:
         snap_dir = Path(args.per_frame_snapshots)
         # eval reads every .lgrid in the directory, so it holds one run's curve
+        out = Path(args.out)
+        if out.match("*.lgrid") and out.parent.resolve() == snap_dir.resolve():
+            raise ValueError(f"--out: {out} lies in the --per-frame-snapshots directory "
+                             f"{snap_dir}, where eval would read it as a frame of the curve")
         if any(snap_dir.glob("*.lgrid")):
             raise ValueError(f"--per-frame-snapshots: {snap_dir} already holds .lgrid files")
         snap_dir.mkdir(parents=True, exist_ok=True)

@@ -3,6 +3,8 @@
 Registration, update and LGRID1 follow the dict-of-vectors design the
 columnar grid replaced. The renderer references are the ``(N, 3)`` slab
 test and the ``(N, L)`` noise model that render every frame on its own.
+The frame check sums every pixel's channels in float64, as ``SensorFrame``
+did before its float32 pass.
 """
 
 import struct
@@ -26,6 +28,21 @@ def oracle_register(frame, resolution, roi):
     sums = np.zeros((unique_keys.shape[0], probs.shape[1]))
     np.add.at(sums, inverse.reshape(-1), probs)
     return unique_keys, sums / counts[:, None]
+
+
+def oracle_frame_check(proba):
+    """The message of the ``ValueError`` that the three-pass float64 simplex
+    check (min, max, float64 channel sums) raises for a probability image,
+    or ``None`` when it accepts the image."""
+    image = np.asarray(proba)
+    if image.dtype != np.float32:
+        image = image.astype(float)
+    if not (image.min() >= 0.0 and image.max() <= 1.0):
+        return "probability image entries must lie in [0, 1]"
+    worst = float(np.abs(image.sum(axis=2, dtype=np.float64) - 1.0).max())
+    if worst > 1e-5:
+        return f"probability image channel sums deviate from 1 by {worst:.3g}"
+    return None
 
 
 def oracle_update(cells: dict, roi, resolution, clamp, keys, probs) -> int:

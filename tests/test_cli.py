@@ -198,6 +198,27 @@ class TestFuse:
         assert {path: path.read_bytes() for path in snapdir.iterdir()} == before
         assert not (tmp_path / "b.lgrid").exists()
 
+    @pytest.mark.parametrize("out", ["snaps/final.lgrid", "snaps/../snaps/final.lgrid"])
+    def test_out_inside_the_snapshot_directory_exits_2(self, sim_run, tmp_path, capsys, out):
+        # eval would read the final grid as one more frame of the curve
+        out = tmp_path / out
+        code, _, err = run_cli(capsys, "fuse", sim_run["manifest"],
+                               "--per-frame-snapshots", tmp_path / "snaps", "--out", out)
+        assert code == 2
+        assert (f"--out: {out} lies in the --per-frame-snapshots directory {tmp_path / 'snaps'}"
+                in err)
+        assert not (tmp_path / "snaps").exists()
+
+    def test_out_in_a_subdirectory_of_the_snapshot_directory_is_accepted(self, sim_run,
+                                                                         tmp_path, capsys):
+        # eval reads only the .lgrid files directly inside the directory
+        snapdir = tmp_path / "snaps"
+        (snapdir / "final").mkdir(parents=True)
+        code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--per-frame-snapshots",
+                               snapdir, "--out", snapdir / "final" / "grid.lgrid")
+        assert code == 0, err
+        assert len(list(snapdir.glob("*.lgrid"))) == 16
+
     def test_failed_fuse_deletes_its_snapshots(self, sim_run, tmp_path, capsys):
         snapdir = tmp_path / "snaps"
         code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,

@@ -12,7 +12,7 @@ from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, register_frame
                        softmax_image)
 from labelgrid.grid import pack_keys, unpack_codes, voxel_center
 from labelgrid.registration import _STEP_ROWS
-from oracles import oracle_register
+from oracles import oracle_frame_check, oracle_register
 
 E_OVER_E_PLUS_1 = 0.7310585786300049  # softmax of logits (1, 0)
 
@@ -289,6 +289,23 @@ class TestRegisterFrame:
             assert unpack_codes(register_frame(frame, 1.0).codes).tolist() == [[0, 0, z]]
 
 
+def test_frame_check_peak_memory_per_pixel():
+    """The float32 channel sums of a 320x240x40 simplex image take 4 traced
+    bytes per pixel; float64 sums and their deviations took 24."""
+    intr = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0, width=320, height=240)
+    depth = np.ones((240, 320))
+    proba = np.full((240, 320, 40), 0.025, dtype=np.float32)
+    make_frame(depth, proba, intr)
+    tracemalloc.start()
+    try:
+        frame = make_frame(depth, proba, intr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frame.proba is proba
+    assert peak / depth.size < 8
+
+
 @pytest.mark.parametrize("with_roi", [False, True])
 def test_register_frame_peak_memory_per_pixel(with_roi):
     """The deprojection fills one (N, 3) float64 buffer in place and drops
@@ -389,6 +406,73 @@ def test_simplex_check_same_in_float32_and_float64(seed, channels, side, jitter,
         except ValueError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def frame_check(image):
+    """The message of the ``ValueError`` that building a frame of ``image``
+    raises, or ``None`` when the frame is built."""
+    h, w = image.shape[:2]
+    intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=0.0, cy=0.0, width=w, height=h)
+    try:
+        make_frame(np.ones((h, w)), image, intr)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def pushed_simplex(seed, shape, dtype, deviation, share=0.5):
+    """Random simplex rows, a ``share`` of them scaled by ``1 + deviation``."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.0, 1.0, size=shape)
+    proba = raw / raw.sum(axis=2, keepdims=True)
+    proba[rng.random(shape[:2]) < share] *= 1.0 + deviation
+    return proba.astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([np.float32, np.float64]),
+       st.integers(2, 64), st.sampled_from([-1, 1]), st.booleans(), st.booleans(),
+       st.floats(-3.0, 3.0), st.floats(0.0, 1.0))
+def test_frame_check_matches_float64_oracle(seed, dtype, channels, side, near_bound, in_ulps,
+                                            offset, share):
+    """Building a frame accepts and rejects exactly the images that the
+    float64 channel sums do, with the same message. Row sums are pushed to
+    1 +- d, with d a few ulps or a few margins from 1e-5 or from the
+    float32 pass threshold 1e-5 - margin, where margin = L * eps + 1e-12, so that
+    both passes decide some images, and float32 sums that round to the
+    other side of 1e-5 are tried."""
+    eps = float(np.finfo(dtype).eps)
+    margin = channels * eps + 1e-12
+    deviation = ((1e-5 if near_bound else 1e-5 - margin)
+                 + offset * (eps if in_ulps else margin))
+    image = pushed_simplex(seed, (5, 6, channels), dtype, side * deviation, share)
+    assert frame_check(image) == oracle_frame_check(image)
+
+
+@pytest.mark.parametrize("deviation, accepted", [(9.9e-6, True), (1.01e-5, False)])
+def test_frame_check_near_the_bound_takes_the_float64_pass(deviation, accepted):
+    """40 float32 channels: the float32 pass needs sums within about 5.2e-6
+    of 1, so both images reach the float64 pass, which decides them as the
+    oracle does."""
+    image = pushed_simplex(3, (5, 6, 40), np.float32, deviation, share=1.0)
+    expected = oracle_frame_check(image)
+    assert (expected is None) == accepted
+    if not accepted:
+        assert expected.startswith("probability image channel sums deviate from 1 by 1.0")
+    assert frame_check(image) == expected
+
+
+def test_frame_check_rejects_a_row_whose_float32_sum_reads_inside_the_bound():
+    """One large entry and 39 entries of 5.25e-8, each between half and one
+    float32 ulp of the large one: the float64 sum is 1.0052e-5 under 1,
+    and numpy's float32 einsum of the same row reads 9.95e-6 under. Only
+    the margin keeps the float32 pass from accepting it."""
+    small = np.full(39, 5.25e-8, dtype=np.float32)
+    large = np.float32(1.0 - 1.003e-5 - float(small.sum(dtype=np.float64)))
+    image = np.tile(np.concatenate(([large], small)), (5, 6, 1))
+    expected = oracle_frame_check(image)
+    assert expected == "probability image channel sums deviate from 1 by 1.01e-05"
+    assert frame_check(image) == expected
 
 
 def voxel_run_frame(voxel, proba):
