@@ -40,23 +40,6 @@ def _parse_roi(text: str) -> Box3:
         raise ValueError(f"--roi: {exc}") from None
 
 
-def _add_fusion_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--resolution", type=float, default=0.005, help="voxel edge in meters")
-    p.add_argument("--num-labels", type=int, default=40, dest="num_labels",
-                   help="total classes including background")
-    p.add_argument("--clamp", type=float, default=DEFAULT_CLAMP, help="log-odds saturation bound")
-    p.add_argument("--p-min", type=float, default=DEFAULT_P_MIN, dest="p_min",
-                   help="measurement probability clamp before the logit")
-    p.add_argument("--linear-eps", type=float, default=GateConfig.linear_eps, dest="linear_eps",
-                   help="stationary linear velocity threshold (m/s)")
-    p.add_argument("--angular-eps", type=float, default=GateConfig.angular_eps, dest="angular_eps",
-                   help="stationary angular velocity threshold (rad/s)")
-    p.add_argument("--settle-frames", type=int, default=GateConfig.settle_frames,
-                   dest="settle_frames", help="consecutive still frames required before fusing")
-    p.add_argument("--roi", type=str, default=None,
-                   help="bin-interior clip box: x0,y0,z0,x1,y1,z1")
-
-
 def cmd_simulate(args) -> int:
     # only this command needs the renderer, so the others never import it
     from .simulator import NoiseModel, load_scene, load_trajectory, simulate
@@ -127,7 +110,7 @@ def cmd_fuse(args) -> int:
 def _evaluate(grid: LabelOccupancyGrid, label: int, box: Box3) -> dict:
     segment = grid.segment(label)
     report = iou_3d(segment, grid.resolution, box)
-    centroid = grid.centroid(label, segment)
+    centroid = grid.centroid(label)
     return {
         "label": label,
         **dataclasses.asdict(report),
@@ -212,7 +195,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="LGRID1 snapshot output path")
     p.add_argument("--per-frame-snapshots", default=None, dest="per_frame_snapshots",
                    help="directory for one snapshot per processed frame")
-    _add_fusion_flags(p)
+    p.add_argument("--resolution", type=float, default=0.005, help="voxel edge in meters")
+    p.add_argument("--num-labels", type=int, default=40, dest="num_labels",
+                   help="total classes including background")
+    p.add_argument("--clamp", type=float, default=DEFAULT_CLAMP, help="log-odds saturation bound")
+    p.add_argument("--p-min", type=float, default=DEFAULT_P_MIN, dest="p_min",
+                   help="measurement probability clamp before the logit")
+    p.add_argument("--linear-eps", type=float, default=GateConfig.linear_eps, dest="linear_eps",
+                   help="stationary linear velocity threshold (m/s)")
+    p.add_argument("--angular-eps", type=float, default=GateConfig.angular_eps, dest="angular_eps",
+                   help="stationary angular velocity threshold (rad/s)")
+    p.add_argument("--settle-frames", type=int, default=GateConfig.settle_frames,
+                   dest="settle_frames", help="consecutive still frames required before fusing")
+    p.add_argument("--roi", type=str, default=None,
+                   help="bin-interior clip box: x0,y0,z0,x1,y1,z1")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("eval", help="score a snapshot against ground-truth boxes")

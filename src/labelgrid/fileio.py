@@ -407,20 +407,17 @@ class FrameRecord:
     timestamp: float
     pose: Pose
 
-    @classmethod
-    def parse(cls, index: int, record, manifest_path) -> "FrameRecord":
-        """Check record ``index`` of a manifest without opening its image files."""
-        where = f"{manifest_path}: record {index}"
-        pose, _, timestamp, _ = _nested(where, _check_frame_record, record)
-        return cls(record, Path(manifest_path).parent, timestamp, pose)
-
     def load(self) -> SensorFrame:
         return load_frame(self.record, self.base_dir)
 
 
 def read_frame_records(path) -> list[FrameRecord]:
     """Every record of a manifest, parsed and checked; no image is read."""
-    return [FrameRecord.parse(i, r, path) for i, r in enumerate(read_manifest(path))]
+    base_dir, records = Path(path).parent, []
+    for i, record in enumerate(read_manifest(path)):
+        pose, _, timestamp, _ = _nested(f"{path}: record {i}", _check_frame_record, record)
+        records.append(FrameRecord(record, base_dir, timestamp, pose))
+    return records
 
 
 def box_from_json(obj: dict) -> Box3:

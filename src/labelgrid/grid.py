@@ -248,12 +248,9 @@ class LabelOccupancyGrid:
         """
         return unpack_codes(self._codes[self.label_log_odds(label) > 0.0])
 
-    def centroid(self, label: int, segment: Optional[np.ndarray] = None) -> Optional[np.ndarray]:
-        """Unweighted mean of segment voxel centers, or None if empty.
-
-        ``segment`` may pass ``segment(label)`` when the caller has it.
-        """
-        keys = self.segment(label) if segment is None else segment
+    def centroid(self, label: int) -> Optional[np.ndarray]:
+        """Unweighted mean of segment voxel centers, or None if empty."""
+        keys = self.segment(label)
         if len(keys) == 0:
             return None
         return voxel_center(keys, self._resolution).mean(axis=0)

@@ -179,15 +179,6 @@ def _run_means(rows: np.ndarray, pixel: np.ndarray, starts: np.ndarray) -> np.nd
     return means
 
 
-def _pinhole_axis(out: np.ndarray, coord: np.ndarray, center: float, focal: float,
-                  depth: np.ndarray) -> None:
-    """``out[:] = (coord - center) * depth / focal``, in place and in that
-    order, so the bits are those of the whole-array expression."""
-    np.subtract(coord, center, out=out)
-    np.multiply(out, depth, out=out)
-    np.divide(out, focal, out=out)
-
-
 def register_frame(frame: SensorFrame, resolution: float,
                    roi: Optional[Box3] = None) -> RegistrationResult:
     """Bin every valid-depth pixel of a frame into world-space voxels.
@@ -215,10 +206,14 @@ def register_frame(frame: SensorFrame, resolution: float,
     # one (N, 3) buffer of camera points, filled in place; each temporary
     # goes once it is dead
     cam = np.empty((pixel.shape[0], 3))
-    _pinhole_axis(cam[:, 0], uu, intr.cx, intr.fx, d)
-    _pinhole_axis(cam[:, 1], vv, intr.cy, intr.fy, d)
+    # in place, in this order: the bits of the whole-array (coord - center) * d / focal
+    for out, coord, center, focal in ((cam[:, 0], uu, intr.cx, intr.fx),
+                                      (cam[:, 1], vv, intr.cy, intr.fy)):
+        np.subtract(coord, center, out=out)
+        np.multiply(out, d, out=out)
+        np.divide(out, focal, out=out)
     cam[:, 2] = d
-    del vv, uu, d
+    del vv, uu, d, out, coord, center, focal
     # frame.pose.transform(cam), with the translation added in place one
     # column at a time, which is faster than broadcasting a (3,) row
     world = frame.pose.rotate(cam)

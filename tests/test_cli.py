@@ -13,7 +13,7 @@ import pytest
 
 import labelgrid
 from conftest import TARGET_LABEL, write_cli_inputs
-from labelgrid import Box3, fileio
+from labelgrid import Box3, fileio, look_at
 from labelgrid.cli import main
 from labelgrid.fileio import load_grid, read_manifest, save_grid, write_manifest
 from labelgrid.grid import LabelOccupancyGrid, unpack_codes, voxel_center
@@ -105,6 +105,26 @@ class TestSimulate:
                                  "--seed", 7, "--out", out)
             assert code == 0
             blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert blobs[0] == blobs[1]
+
+    def test_rotation_translation_waypoints_match_eye_look_at(self, tmp_path, capsys):
+        """The README's two waypoint forms give the same stream, byte for byte."""
+        paths = write_cli_inputs(tmp_path)
+        trajectory = json.loads(paths["trajectory"].read_text())
+        for waypoint in trajectory["waypoints"]:
+            pose = look_at(waypoint.pop("eye"), waypoint.pop("look_at"))
+            waypoint["rotation"] = pose.rotation.ravel().tolist()
+            waypoint["translation"] = pose.translation.tolist()
+        rigid = tmp_path / "rigid.json"
+        rigid.write_text(json.dumps(trajectory))
+        blobs = []
+        for name, path in (("eye", paths["trajectory"]), ("rigid", rigid)):
+            out = tmp_path / name
+            code, _, err = run_cli(capsys, "simulate", "--scene", paths["scene"],
+                                   "--trajectory", path, "--out", out)
+            assert code == 0, err
+            blobs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(blobs[0]) == 33
         assert blobs[0] == blobs[1]
 
 

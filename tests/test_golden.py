@@ -10,15 +10,26 @@ The digests were recorded with numpy 2.4.6. A change that alters any of
 these bytes must update the digests and say in CHANGES.md which outputs
 change and why. ``PYTHONPATH=src python tests/test_golden.py`` prints the
 current table.
+
+A second test fuses a two-label stream with numpy's AVX-512 kernels on
+and off and requires the same LGRID1 bytes.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
+
+import labelgrid
 from conftest import write_cli_inputs
+from labelgrid import CameraIntrinsics, Pose
 from labelgrid.cli import main
+from labelgrid.fileio import pose_record, write_depth_pgm, write_manifest, write_probimg
 
 GOLDEN = {
     "fuse.stdout": "3238ae736964945b77b535cf916295a1452cddb18b273ded0c646892f768a216",
@@ -132,6 +143,52 @@ def test_pipeline_outputs_match_golden_digests(tmp_path):
     assert sorted(digests) == sorted(GOLDEN)
     changed = [name for name in GOLDEN if digests[name] != GOLDEN[name]]
     assert not changed, f"outputs changed: {changed}"
+
+
+def write_two_label_stream(root: Path) -> Path:
+    """A still 64x64 stream of 6 frames, p of label 0 uniform in [0.2, 0.8] and
+    depth uniform in [0.5, 1.0] m; returns its manifest."""
+    rng = np.random.default_rng(0)
+    intr = CameraIntrinsics(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
+    records = []
+    for i in range(6):
+        p = rng.uniform(0.2, 0.8, (64, 64))
+        write_depth_pgm(root / f"depth_{i}.pgm", rng.uniform(0.5, 1.0, (64, 64)))
+        write_probimg(root / f"proba_{i}.probimg", np.stack([p, 1.0 - p], axis=2))
+        records.append({"depth_file": f"depth_{i}.pgm", "proba_file": f"proba_{i}.probimg",
+                        "pose": pose_record(Pose.identity(), intr, 0.25 * i)})
+    write_manifest(root / "manifest.json", records)
+    return root / "manifest.json"
+
+
+def test_snapshot_bytes_do_not_depend_on_numpy_simd_kernels(tmp_path):
+    """fuse writes the same LGRID1 bytes with numpy's AVX-512 kernels on and off.
+
+    The probabilities are not the simulator's small table, so the logits
+    ``update`` adds come from numpy's SIMD ``log`` on many distinct values,
+    and the clamp of 50 keeps the sums off the bound. The in-memory float64
+    log-odds may differ by an ulp between the kernels; the float32 values of
+    LGRID1 must not. On a CPU without AVX-512, both children run the same
+    kernels, so the test checks nothing there.
+    """
+    manifest = write_two_label_stream(tmp_path)
+    src = str(Path(labelgrid.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    snapshots = []
+    # numpy's AVX-512 kernel groups; an x86-64 CPU without AVX-512 never runs them
+    avx512_off = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    for name, extra in (("default", {}), ("avx512_off", avx512_off)):
+        out = tmp_path / f"{name}.lgrid"
+        child = subprocess.run(
+            [sys.executable, "-m", "labelgrid.cli", "fuse", str(manifest), "--out", str(out),
+             "--num-labels", "2", "--resolution", "0.01", "--clamp", "50",
+             "--settle-frames", "1"],
+            capture_output=True, text=True, env={**env, **extra})
+        assert child.returncode == 0, child.stderr
+        assert '"frames_fused": 6' in child.stdout
+        snapshots.append(out.read_bytes())
+    assert snapshots[0] == snapshots[1]
 
 
 if __name__ == "__main__":

@@ -134,7 +134,7 @@ class TestRegisterFrame:
         depth = np.zeros((200, 200))
         proba = np.full((200, 200, 2), 0.5)
         result = register_frame(make_frame(depth, proba, intr100), 0.01)
-        assert result.measurements == []
+        assert result.codes.shape == (0,)
         assert result.pixels_skipped_depth == 200 * 200
 
     @pytest.mark.parametrize("depth_m, roi, skipped", [
@@ -224,7 +224,7 @@ class TestRegisterFrame:
         depth = np.where(rng.random((200, 200)) < 0.5, rng.uniform(0.5, 2.0, (200, 200)), 0.0)
         proba = np.full((200, 200, 2), 0.5)
         result = register_frame(make_frame(depth, proba, intr100), 0.02)
-        assert len(result.measurements) <= int(np.count_nonzero(depth))
+        assert len(result.codes) <= int(np.count_nonzero(depth))
 
     def test_output_simplex_preserved(self, intr100):
         rng = np.random.default_rng(9)
