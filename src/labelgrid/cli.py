@@ -82,7 +82,7 @@ def cmd_fuse(args) -> int:
             if fused or index == 0:
                 fileio.save_grid(path, grid)
             else:
-                shutil.copyfile(snap_dir / f"frame_{index - 1:0{digits}d}.lgrid", path)
+                shutil.copyfile(written[-2], path)
 
     try:
         stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)
@@ -185,37 +185,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--confidence", type=float, default=0.8,
                    help="probability assigned to the top label")
-    p.add_argument("--flip-rate", type=float, default=0.05, dest="flip_rate",
+    p.add_argument("--flip-rate", type=float, default=0.05,
                    help="chance a pixel's top label is replaced by a wrong one")
-    p.add_argument("--num-labels", type=int, default=40, dest="num_labels")
+    p.add_argument("--num-labels", type=int, default=40)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fuse", help="fuse a frame stream into a grid snapshot")
     p.add_argument("manifest", help="frame stream manifest JSON")
     p.add_argument("--out", required=True, help="LGRID1 snapshot output path")
-    p.add_argument("--per-frame-snapshots", default=None, dest="per_frame_snapshots",
-                   help="directory for one snapshot per processed frame")
+    p.add_argument("--per-frame-snapshots", help="directory for one snapshot per processed frame")
     p.add_argument("--resolution", type=float, default=0.005, help="voxel edge in meters")
-    p.add_argument("--num-labels", type=int, default=40, dest="num_labels",
+    p.add_argument("--num-labels", type=int, default=40,
                    help="total classes including background")
     p.add_argument("--clamp", type=float, default=DEFAULT_CLAMP, help="log-odds saturation bound")
-    p.add_argument("--p-min", type=float, default=DEFAULT_P_MIN, dest="p_min",
+    p.add_argument("--p-min", type=float, default=DEFAULT_P_MIN,
                    help="measurement probability clamp before the logit")
-    p.add_argument("--linear-eps", type=float, default=GateConfig.linear_eps, dest="linear_eps",
+    p.add_argument("--linear-eps", type=float, default=GateConfig.linear_eps,
                    help="stationary linear velocity threshold (m/s)")
-    p.add_argument("--angular-eps", type=float, default=GateConfig.angular_eps, dest="angular_eps",
+    p.add_argument("--angular-eps", type=float, default=GateConfig.angular_eps,
                    help="stationary angular velocity threshold (rad/s)")
     p.add_argument("--settle-frames", type=int, default=GateConfig.settle_frames,
-                   dest="settle_frames", help="consecutive still frames required before fusing")
-    p.add_argument("--roi", type=str, default=None,
-                   help="bin-interior clip box: x0,y0,z0,x1,y1,z1")
+                   help="consecutive still frames required before fusing")
+    p.add_argument("--roi", help="bin-interior clip box: x0,y0,z0,x1,y1,z1")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("eval", help="score a snapshot against ground-truth boxes")
     p.add_argument("snapshot", help="LGRID1 file, or a directory of them for a CSV curve")
     p.add_argument("--boxes", required=True, help="ground-truth boxes JSON")
-    p.add_argument("--label", type=int, default=None, help="restrict to one label")
-    p.add_argument("--out", default=None, help="write the report here instead of stdout")
+    p.add_argument("--label", type=int, help="restrict to one label")
+    p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("export", help="export a segment as an ASCII PLY point cloud")

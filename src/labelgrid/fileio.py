@@ -29,6 +29,8 @@ LGRID_MAGIC = b"LGRID1\n"
 # magic, resolution, label count, clamp, roi flag; then :func:`_lgrid_tail`
 _LGRID_HEAD = struct.Struct("<7sdIdB")
 PROBIMG_MAGIC = b"PROBIMG1"
+# header line bound in bytes; the longest valid one with single spaces is 66
+_PROBIMG_HEADER_MAX = 1024
 # magic, width, height and maxval, then the one whitespace byte before the raster
 _PGM_HEADER = re.compile(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?")
 
@@ -115,7 +117,7 @@ def read_probimg(path) -> np.ndarray:
     SIGBUS, not a ``ValueError`` (so ``fuse`` does not exit with code 2).
     """
     with open(path, "rb") as f:
-        line = f.readline()
+        line = f.readline(_PROBIMG_HEADER_MAX)
         if not line.endswith(b"\n"):
             raise ValueError(f"{path}: missing PROBIMG1 header line")
         fields = line.split()
@@ -328,15 +330,11 @@ def intrinsics_from_json(obj: dict) -> CameraIntrinsics:
                             width=_integer(obj, "width"), height=_integer(obj, "height"))
 
 
-def parse_pose_record(obj: dict) -> tuple[Pose, CameraIntrinsics, float]:
-    """Pose, intrinsics and timestamp of a :func:`pose_record` object.
-
-    A missing field or one of the wrong JSON type raises ``ValueError``
-    naming the field.
-    """
-    intr = intrinsics_from_json(obj)
-    pose = Pose(_numbers(obj, "rotation", 9).reshape(3, 3), _numbers(obj, "translation", 3))
-    return pose, intr, _number(obj, "timestamp")
+def pose_from_json(obj: dict) -> Pose:
+    """``{rotation: 9 row-major numbers, translation: 3}`` as a pose; a
+    malformed one raises ``ValueError`` naming the field."""
+    _object(obj)
+    return Pose(_numbers(obj, "rotation", 9).reshape(3, 3), _numbers(obj, "translation", 3))
 
 
 def write_manifest(path, records: list[dict]) -> None:
@@ -354,7 +352,8 @@ def _check_frame_record(record) -> tuple[Pose, CameraIntrinsics, float, str]:
     """Pose, intrinsics, timestamp and image field name of a manifest record,
     checked without opening its files; a ``ValueError`` names the bad field."""
     _object(record)
-    pose, intr, timestamp = _nested("pose", parse_pose_record, record.get("pose"))
+    intr, pose, timestamp = _nested("pose", lambda p: (
+        intrinsics_from_json(p), pose_from_json(p), _number(p, "timestamp")), record.get("pose"))
     if "timestamp" in record:
         top_level = _number(record, "timestamp")
         if top_level != timestamp:

@@ -44,21 +44,23 @@ def iou_3d(voxels, resolution: float, gt: Box3) -> IouReport:
     return IouReport(v_tp, v_fp, v_fn, iou)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ConfusionMatrix:
     """counts[i][j] = number of pixels of true class i predicted as class j."""
 
     counts: np.ndarray
 
     def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
+        counts = np.array(self.counts)
         if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
             raise ValueError(f"confusion matrix must be square, got shape {counts.shape}")
         if not np.issubdtype(counts.dtype, np.integer):
             raise ValueError("confusion matrix counts must be integers")
         if (counts < 0).any():
             raise ValueError("confusion matrix counts must be non-negative")
-        self.counts = counts
+        # a read-only copy, so the checked counts hold for the object's whole life
+        counts.flags.writeable = False
+        object.__setattr__(self, "counts", counts)
 
     @property
     def total(self) -> int:
@@ -97,8 +99,7 @@ def mean_iu(cm: ConfusionMatrix) -> float:
         raise ValueError("confusion matrix is empty")
     counts = cm.counts.astype(float)
     diag = np.diag(counts)
+    # a pixel's true class has a positive denominator, so some class is kept
     denom = counts.sum(axis=1) + counts.sum(axis=0) - diag
     valid = denom > 0
-    if not valid.any():
-        raise ValueError("every class is empty in both pred and truth")
     return float(np.mean(diag[valid] / denom[valid]))

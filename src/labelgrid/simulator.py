@@ -355,8 +355,7 @@ def _waypoint_from_json(obj: dict) -> Waypoint:
         up = fileio._numbers(obj, "up", 3) if "up" in obj else (0.0, 1.0, 0.0)
         pose = look_at(fileio._numbers(obj, "eye", 3), fileio._numbers(obj, "look_at", 3), up)
     else:
-        pose = Pose(fileio._numbers(obj, "rotation", 9).reshape(3, 3),
-                    fileio._numbers(obj, "translation", 3))
+        pose = fileio.pose_from_json(obj)
     hold_frames = (fileio._integer(obj, "hold_frames") if "hold_frames" in obj
                    else Waypoint.hold_frames)
     return Waypoint(pose=pose, timestamp=fileio._number(obj, "timestamp"),

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from conftest import gt_boxes_json
-from labelgrid import Box3, CameraIntrinsics, Pose, SensorFrame, fileio, look_at
+from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, fileio, look_at,
+                       softmax_image)
 from labelgrid.cli import main
 from labelgrid.grid import LabelOccupancyGrid, pack_keys
-from labelgrid.metrics import ConfusionMatrix, mean_iu
+from labelgrid.metrics import ConfusionMatrix
 from labelgrid.simulator import NoiseModel, Scene, Trajectory, render_proba
 
 UNIT = Box3((0, 0, 0), (1, 1, 1))
@@ -24,14 +25,6 @@ INTR4 = CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=2.0, width=4, height=4)
 def frame(proba):
     return SensorFrame(timestamp=0.0, depth=np.ones((4, 4)), pose=Pose.identity(),
                        intrinsics=INTR4, proba=proba)
-
-
-def mean_iu_of_counts_set_after_the_checks():
-    # ConfusionMatrix refuses negative counts, so no checked matrix with a
-    # pixel in it has every class empty; only counts set afterwards do
-    cm = ConfusionMatrix(np.zeros((2, 2), dtype=np.int64))
-    cm.counts = np.array([[3, -2], [-3, 3]])
-    return mean_iu(cm)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -64,8 +57,15 @@ def mean_iu_of_counts_set_after_the_checks():
      ValueError, "expected 2 x 2 log-odds values, got shape (2, 3)"),
     (lambda tmp: ConfusionMatrix(np.zeros((2, 3), dtype=np.int64)),
      ValueError, "confusion matrix must be square, got shape (2, 3)"),
-    (lambda tmp: mean_iu_of_counts_set_after_the_checks(),
-     ValueError, "every class is empty in both pred and truth"),
+    (lambda tmp: LabelOccupancyGrid(0.01, 2).set_cells(np.zeros((1, 1), dtype=np.int64),
+                                                       np.zeros((1, 2))),
+     ValueError, "codes must be a 1-D integer array, got int64 (1, 1)"),
+    (lambda tmp: LabelOccupancyGrid(0.01, 2).update(np.zeros(1), np.full((1, 2), 0.5)),
+     ValueError, "codes must be a 1-D integer array, got float64 (1,)"),
+    (lambda tmp: LabelOccupancyGrid(0.01, 2).update([-1], np.full((1, 2), 0.5)),
+     ValueError, "invalid voxel code -1"),
+    (lambda tmp: softmax_image(np.zeros((2, 2))),
+     ValueError, "expected an (H, W, C) score image, got shape (2, 2)"),
     (lambda tmp: pack_keys(np.zeros((1, 3))),
      TypeError, "voxel keys must be integers, got dtype float64"),
     (lambda tmp: LabelOccupancyGrid(0.01, 2, roi=(0, 0, 0)),

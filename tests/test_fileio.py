@@ -122,6 +122,21 @@ class TestProbimg:
         offset = raw.index(b"\n") + 1
         assert np.array_equal(image.ravel(), np.frombuffer(raw, dtype="<f4", offset=offset))
 
+    def test_header_read_is_bounded(self, tmp_path):
+        """A large file with no newline fails without being read whole."""
+        path = tmp_path / "p.probimg"
+        size = 4 * 2 ** 20
+        path.write_bytes(b"P" * size)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: missing PROBIMG1 "
+                                                 "header line"):
+                read_probimg(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 64
+
     @pytest.mark.parametrize("data, message", [
         (b"PROBIMG1 1 1 1", "missing PROBIMG1 header line"),
         (b"", "missing PROBIMG1 header line"),

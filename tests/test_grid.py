@@ -451,3 +451,9 @@ def test_update_validates_before_writing():
     with pytest.raises(ValueError, match="probabilities"):
         g.update(codes, np.full((2, 3), 0.5))
     assert len(g) == 0
+
+
+def test_grid_is_unequal_to_a_non_grid():
+    grid = LabelOccupancyGrid(0.01, 2)
+    assert grid.__eq__(5) is NotImplemented
+    assert (grid == 5) is False and grid != 5

@@ -1,5 +1,6 @@
 """Metrics: exact cube/box IoU with a Monte-Carlo oracle, 2D pixel metrics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -207,6 +208,18 @@ class TestValidation:
     def test_box_requires_positive_extent(self):
         with pytest.raises(ValueError):
             Box3((0, 0, 0), (1, 0, 1))
+
+    def test_confusion_matrix_is_immutable(self):
+        """The counts checked at construction are the counts for good."""
+        given = np.array([[3, 1], [2, 4]])
+        cm = ConfusionMatrix(given)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cm.counts = np.array([[3, -2], [-3, 3]])
+        with pytest.raises(ValueError, match="read-only"):
+            cm.counts[0, 1] = -2
+        given[0, 1] = -2
+        assert cm.counts.tolist() == [[3, 1], [2, 4]]
+        assert mean_iu(cm) == pytest.approx(MEAN_IU_3124, abs=1e-10)
 
     def test_confusion_matrix_requires_integers(self):
         with pytest.raises(ValueError):

@@ -130,6 +130,16 @@ def voxel_means(result) -> dict:
 
 
 class TestRegisterFrame:
+    def test_measurements_pair_each_key_with_its_mean_row(self, intr100):
+        """The benchmark harness reads ``measurements``; it must stay
+        ``zip(unpack_codes(codes), means)``."""
+        proba = np.random.default_rng(5).dirichlet(np.ones(3), size=(200, 200))
+        result = register_frame(make_frame(np.full((200, 200), 1.0), proba, intr100), 0.05)
+        want = [(tuple(key), row.tolist())
+                for key, row in zip(unpack_codes(result.codes).tolist(), result.means)]
+        assert len(want) > 1
+        assert [(key, row.tolist()) for key, row in result.measurements] == want
+
     def test_all_invalid_depth(self, intr100):
         depth = np.zeros((200, 200))
         proba = np.full((200, 200, 2), 0.5)
