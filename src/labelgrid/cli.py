@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import shutil
@@ -17,7 +18,8 @@ from pathlib import Path
 # 0.19 s single-threaded, medians of 30). The default must be set before
 # numpy loads, so it comes before the imports below; a value the user set
 # is kept, and a program that imported numpy first keeps its threads.
-if "numpy" not in sys.modules:
+_STARTS_THE_PROCESS = "numpy" not in sys.modules
+if _STARTS_THE_PROCESS:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -27,6 +29,15 @@ from .fusion import DEFAULT_P_MIN, GateConfig, fuse_stream
 from .geometry import Box3
 from .grid import DEFAULT_CLAMP, LabelOccupancyGrid, probability, unpack_codes, voxel_center
 from .metrics import iou_3d
+
+# The imports leave about 22,000 objects for the cyclic collector to track,
+# none of them garbage, and interpreter exit walks them in several full
+# passes: a child that imported the CLI took 28 ms to exit, against 9 ms
+# with those objects frozen out of the collector's generations (medians of
+# 20 on a 2-core VM). A program that imported numpy first keeps its
+# collector as it is.
+if _STARTS_THE_PROCESS:
+    gc.freeze()
 
 
 def _parse_roi(text: str) -> Box3:
@@ -76,12 +87,17 @@ def cmd_fuse(args) -> int:
         digits = max(4, len(str(len(records) - 1)))
 
         def on_frame(index, item, fused):
-            # a gated frame leaves the grid as it was: copy the last snapshot
+            # a gated frame leaves the grid as it was: link the last snapshot,
+            # or copy it where the file system refuses the link (EPERM) or
+            # the inode is at its link limit (EMLINK)
             path = snap_dir / f"frame_{index:0{digits}d}.lgrid"
             written.append(path)
             if fused or index == 0:
                 fileio.save_grid(path, grid)
-            else:
+                return
+            try:
+                os.link(written[-2], path)
+            except OSError:
                 shutil.copyfile(written[-2], path)
 
     try:
@@ -132,15 +148,20 @@ def cmd_eval(args) -> int:
         if not paths:
             raise ValueError(f"{snapshot}: no .lgrid snapshots found")
         lines = ["snapshot,label,iou,v_tp,v_fp,v_fn,voxel_count"]
-        previous, rows = None, []
+        previous, previous_inode, rows = None, None, []
         for path in paths:
-            # a gated frame's snapshot repeats the one before it, so only a
-            # change from the previous file's bytes is parsed and scored
-            raw = path.read_bytes()
-            if raw != previous:
-                grid = fileio.grid_from_file_bytes(path, raw)
-                rows = [_evaluate(grid, label, box) for label, box in boxes]
-                previous = raw
+            # a gated frame's snapshot repeats the one before it, as a link
+            # to the same inode or as a copy; only a change from the previous
+            # file's bytes is parsed and scored, and a link is not even read
+            info = path.stat()
+            inode = (info.st_dev, info.st_ino)
+            if inode != previous_inode:
+                raw = path.read_bytes()
+                if raw != previous:
+                    grid = fileio.grid_from_file_bytes(path, raw)
+                    rows = [_evaluate(grid, label, box) for label, box in boxes]
+                    previous = raw
+                previous_inode = inode
             for row in rows:
                 lines.append(f"{path.name},{row['label']},{row['iou']!r},{row['v_tp']!r},"
                              f"{row['v_fp']!r},{row['v_fn']!r},{row['voxel_count']}")

@@ -1,8 +1,10 @@
 """CLI workflows: simulate | fuse | eval | export round trips."""
 
+import errno
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -419,7 +421,7 @@ class TestStreamingFuse:
     def test_gated_snapshots_repeat_the_previous_grid(self, tmp_path, capsys):
         """Every per-frame file holds the grid as it stood after its frame,
         also where a gated frame follows a fused one and its snapshot is
-        copied from the file before it."""
+        linked to the file before it."""
         from conftest import BIN_ROI, NUM_LABELS, RESOLUTION
         from labelgrid import GateConfig, fuse_stream
         from labelgrid.fileio import grid_to_bytes, read_frame_records
@@ -442,8 +444,43 @@ class TestStreamingFuse:
         assert code == 0, err
         snaps = sorted(snapdir.glob("*.lgrid"))
         assert [p.read_bytes() for p in snaps] == expected
-        # each snapshot is its own file, not a link to an earlier one
-        assert all(p.stat().st_nlink == 1 for p in snaps)
+        # a gated frame's snapshot links the file before it; frame 0 and
+        # each fused frame's snapshot is a new inode
+        inodes = [(p.stat().st_dev, p.stat().st_ino) for p in snaps]
+        for i, was_fused in enumerate(fused):
+            if i == 0 or was_fused:
+                assert inodes[i] not in inodes[:i]
+            else:
+                assert inodes[i] == inodes[i - 1]
+
+    @pytest.mark.parametrize("error", [PermissionError(errno.EPERM, "Operation not permitted"),
+                                       OSError(errno.EMLINK, "Too many links")],
+                             ids=["EPERM", "EMLINK"])
+    def test_gated_snapshots_are_copies_where_links_fail(self, tmp_path, capsys, monkeypatch,
+                                                        error):
+        """A file system without hard links, or an inode at its link limit,
+        gets byte copies of the same grids."""
+        from labelgrid import cli
+
+        manifest = simulate_stream(tmp_path, capsys, 1)["manifest"]
+        argv = ["fuse", manifest, "--roi", ROI_ARG]
+        code, _, err = run_cli(capsys, *argv, "--per-frame-snapshots", tmp_path / "linked",
+                               "--out", tmp_path / "linked.lgrid")
+        assert code == 0, err
+        linked = sorted((tmp_path / "linked").glob("*.lgrid"))
+        assert any(p.stat().st_nlink > 1 for p in linked)
+
+        def refuse(src, dst):
+            raise error
+
+        monkeypatch.setattr(cli.os, "link", refuse)
+        code, _, err = run_cli(capsys, *argv, "--per-frame-snapshots", tmp_path / "copied",
+                               "--out", tmp_path / "copied.lgrid")
+        assert code == 0, err
+        copied = sorted((tmp_path / "copied").glob("*.lgrid"))
+        assert ({p.name: p.read_bytes() for p in copied}
+                == {p.name: p.read_bytes() for p in linked})
+        assert all(p.stat().st_nlink == 1 for p in copied)
 
 
 class TestEval:
@@ -574,6 +611,44 @@ class TestEval:
             f"{name},{r['label']},{r['iou']!r},{r['v_tp']!r},{r['v_fp']!r},{r['v_fn']!r},"
             f"{r['voxel_count']}" for name, file_rows in rows.items() for r in file_rows]
         assert out.splitlines() == expected
+
+    def test_curve_reads_each_inode_once(self, tmp_path, capsys, monkeypatch):
+        """A gated frame's link is not read again; a copy of the curve, whose
+        files are all distinct inodes, gives the same CSV."""
+        sim = simulate_stream(tmp_path, capsys, 1)
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", sim["manifest"], "--roi", ROI_ARG,
+                               "--per-frame-snapshots", snapdir, "--out", tmp_path / "g.lgrid")
+        assert code == 0, err
+        paths = sorted(snapdir.glob("*.lgrid"))
+        inodes = {(p.stat().st_dev, p.stat().st_ino) for p in paths}
+        assert len(inodes) < len(paths)
+
+        read = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(path):
+            if path.suffix == ".lgrid":
+                read.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        argv = ["--boxes", sim["paths"]["boxes"], "--label", TARGET_LABEL]
+        code, linked_csv, err = run_cli(capsys, "eval", snapdir, *argv)
+        assert code == 0, err
+        assert len(read) == len(inodes)
+
+        shutil.copytree(snapdir, tmp_path / "copy")
+        assert all(p.stat().st_nlink == 1 for p in (tmp_path / "copy").glob("*.lgrid"))
+        parsed = []
+        parse = fileio.grid_from_file_bytes
+        monkeypatch.setattr(fileio, "grid_from_file_bytes",
+                            lambda path, raw: parsed.append(path) or parse(path, raw))
+        code, copied_csv, err = run_cli(capsys, "eval", tmp_path / "copy", *argv)
+        assert code == 0, err
+        assert copied_csv == linked_csv
+        # the copies are told apart by their bytes: each grid is parsed once
+        assert len(parsed) == len(inodes)
 
     def test_truncated_snapshot_in_a_curve_exits_2_naming_it(self, tmp_path, capsys):
         snapdir = tmp_path / "snaps"
@@ -781,6 +856,17 @@ def test_cli_leaves_the_environment_alone_after_numpy_loaded():
     statements = ("import os, numpy, labelgrid.cli; "
                   "assert 'OPENBLAS_NUM_THREADS' not in os.environ")
     modules_after(statements, "labelgrid", env=env_with_blas_threads(None))
+
+
+def test_cli_freezes_its_import_time_heap():
+    """The collector's passes at exit skip the objects the imports left."""
+    modules_after("import labelgrid.cli, gc; assert gc.get_freeze_count() > 0", "labelgrid")
+
+
+def test_cli_leaves_the_collector_alone_after_numpy_loaded():
+    """A program that imported numpy first keeps its collector as it is."""
+    modules_after("import numpy, labelgrid.cli, gc; assert gc.get_freeze_count() == 0",
+                  "labelgrid")
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
