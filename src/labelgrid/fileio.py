@@ -112,9 +112,12 @@ def read_probimg(path) -> np.ndarray:
 
     The payload is memory-mapped read-only, not copied: it stays mapped,
     holding one file descriptor, while the array or the frame that holds
-    it lives, and the file needs only read permission. Truncating or
-    rewriting the file while it is mapped can end the process with
-    SIGBUS, not a ``ValueError`` (so ``fuse`` does not exit with code 2).
+    it lives, and the file needs only read permission. A
+    :class:`~labelgrid.registration.SensorFrame` of it reads it in bands
+    and drops each band's pages once used; a dropped page is read again
+    from the file when touched. So truncating or rewriting the file while
+    it is mapped can end the process with SIGBUS, not a ``ValueError``
+    (so ``fuse`` does not exit with code 2).
     """
     with open(path, "rb") as f:
         line = f.readline(_PROBIMG_HEADER_MAX)
@@ -173,11 +176,30 @@ def grid_to_bytes(grid: LabelOccupancyGrid) -> bytes:
 
 def save_grid(path, grid: LabelOccupancyGrid) -> None:
     """Write an LGRID1 snapshot; a ``ValueError`` names the file and leaves
-    no file behind."""
+    no file behind.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces ``path``: other hard links to an old ``path`` keep their
+    bytes, and a failed write leaves the old file whole.
+    """
     header, cells = _nested(str(path), _lgrid_parts, grid)
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(cells)
+    path = Path(path)
+    # not *.lgrid, so that eval never reads a half-written snapshot
+    temporary = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        f = open(temporary, "xb")
+    except OSError as exc:
+        # name the snapshot, as opening it in place did
+        exc.filename = str(path)
+        raise
+    try:
+        with f:
+            f.write(header)
+            f.write(cells)
+        os.replace(temporary, path)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def _check_cells(log_odds: np.ndarray, clamp: float) -> None:

@@ -119,11 +119,14 @@ def fuse_stream(grid: LabelOccupancyGrid,
                 raise ValueError(f"frame {index} has {frame.num_labels} labels, "
                                  f"but the grid has {grid.num_labels}")
             result = register_frame(frame, grid.resolution, grid.roi)
-            # drop the frame before the next one loads
+            # drop the frame, and below its result, before the next one loads
             del frame
             stats.pixels_skipped_depth += result.pixels_skipped_depth
             stats.pixels_skipped_roi += result.pixels_skipped_roi
-            grid.update(result.codes, np.clip(result.means, p_min, 1.0 - p_min))
+            # in place: the result is this loop's own
+            grid.update(result.codes, np.clip(result.means, p_min, 1.0 - p_min,
+                                              out=result.means))
+            del result
             stats.frames_fused += 1
         else:
             stats.frames_gated += 1

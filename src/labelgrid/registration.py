@@ -13,6 +13,7 @@ the roi; the float centers are tested one axis at a time.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,6 +67,14 @@ class SensorFrame:
     decodes) stays float32, any other is widened to float64. Raw class
     scores are turned into probabilities with :func:`softmax_image` before
     a frame is built.
+
+    The check reads the image one band of about 1 MiB at a time, and so
+    does :func:`register_frame`. When the image views a read-only file map
+    (:func:`~labelgrid.fileio.read_probimg`, or an ``np.memmap`` opened
+    with mode ``'r'``), each band's pages are dropped once it is used, so
+    a frame never holds its whole image resident; a dropped page is read
+    again from the file when it is touched, and rewriting the file while
+    the frame lives can end the process with SIGBUS.
     """
 
     timestamp: float
@@ -89,9 +98,6 @@ class SensorFrame:
             raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")
         if image.shape[2] < 2:
             raise ValueError("channel image needs at least two classes")
-        # written so that a NaN entry, which fails every comparison, is rejected
-        if not (image.min() >= 0.0 and image.max() <= 1.0):
-            raise ValueError("probability image entries must lie in [0, 1]")
         # A channel sum in the image's dtype is off from the exact sum of L
         # entries in [0, 1] by at most gamma_L * sum, whatever the order of
         # additions (Higham 2002, sections 3.1 and 4.2). The margin below is
@@ -101,9 +107,16 @@ class SensorFrame:
         # 320x240x40 float32 image and a BLAS row sum 0.6 ms, but CLI fuse
         # of the transit-320 benchmark stream peaked 0.4 MB higher with BLAS.
         labels = image.shape[2]
-        fast = np.einsum("ijk->ij", image)
-        low, high = float(fast.min()), float(fast.max())
-        del fast
+        rows = image.reshape(-1, labels)
+        low, high = math.inf, -math.inf
+        for start, stop in _bands(rows):
+            band = rows[start:stop]
+            # written so that a NaN entry, which fails every comparison, is rejected
+            if not (band.min() >= 0.0 and band.max() <= 1.0):
+                raise ValueError("probability image entries must lie in [0, 1]")
+            fast = np.einsum("ij->i", band)
+            low, high = min(low, float(fast.min())), max(high, float(fast.max()))
+            _drop_pages_before(rows, stop)
         margin = labels * float(np.finfo(image.dtype).eps) * max(1.0, high) + 1e-12
         if max(1.0 - low, high - 1.0) + margin > 1e-5:
             sums = image.sum(axis=2, dtype=np.float64)
@@ -145,6 +158,39 @@ class RegistrationResult:
 # runs longer than this finish with one np.add.accumulate, so the row
 # loop in _run_means takes at most this many steps per frame
 _STEP_ROWS = 64
+# the frame check and the per-voxel means read the probability image in
+# bands of this many bytes of whole pixel rows, at least one row each
+_BAND_BYTES = 1 << 20
+
+
+def _bands(rows: np.ndarray):
+    """``(start, stop)`` of each band of the ``(pixels, labels)`` image ``rows``."""
+    step = max(1, _BAND_BYTES // (rows.shape[1] * rows.itemsize))
+    for start in range(0, rows.shape[0], step):
+        yield start, min(start + step, rows.shape[0])
+
+
+def _drop_pages_before(rows: np.ndarray, stop: int) -> None:
+    """Drop the resident pages of the file map under ``rows`` that lie wholly
+    before row ``stop``; the kernel reads them again from the file if they
+    are touched later.
+
+    Only a read-only map is dropped: in a writable or copy-on-write map,
+    DONTNEED would throw away pages written since mapping. A heap array,
+    a non-contiguous view and a platform without ``madvise`` are left alone.
+    """
+    owner = rows
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if isinstance(owner, memoryview):
+        owner = owner.obj
+    if not (isinstance(owner, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
+            and rows.flags.c_contiguous and memoryview(owner).readonly):
+        return
+    offset = rows.ctypes.data - np.frombuffer(owner, np.uint8).ctypes.data
+    end = (offset + stop * rows.strides[0]) // mmap.PAGESIZE * mmap.PAGESIZE
+    if end > 0:
+        owner.madvise(mmap.MADV_DONTNEED, 0, end)
 
 
 def _run_means(rows: np.ndarray, pixel: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -190,7 +236,9 @@ def register_frame(frame: SensorFrame, resolution: float,
     deterministic: each voxel's sum starts at ``+0.0`` and adds its
     pixels' probability rows in float64, one at a time, in pixel
     row-major order, then divides by the pixel count. A kept voxel key
-    outside [-2**20, 2**20) on any axis raises ``ValueError``.
+    outside [-2**20, 2**20) on any axis raises ``ValueError``. The
+    probability image is read in bands, and a file map's pages are
+    dropped behind them, as in the :class:`SensorFrame` check.
     """
     positive_finite("resolution", resolution)
     intr = frame.intrinsics
@@ -251,5 +299,26 @@ def register_frame(frame: SensorFrame, resolution: float,
     codes, pixel = codes[order], pixel[order]
     del order
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    means = _run_means(frame.proba.reshape(-1, frame.num_labels), pixel, starts)
-    return RegistrationResult(codes[starts], means, skipped_depth, skipped_roi)
+    codes = codes[starts]
+    # Runs are summed band by band, in the order of their first pixel. A
+    # run reads no pixel before its first, so once the runs that start in
+    # a band are summed, no row before the next band is read again.
+    by_first = np.argsort(pixel[starts])
+    lengths = np.diff(starts, append=pixel.shape[0])[by_first]
+    # pixel with its runs in first-pixel order, each run's pixels kept in order
+    ends = np.cumsum(lengths)
+    run_starts = ends - lengths
+    source = np.repeat(starts[by_first] - run_starts, lengths)
+    source += np.arange(pixel.shape[0])
+    pixel = np.take(pixel, source)
+    del starts, source
+    rows = frame.proba.reshape(-1, frame.num_labels)
+    means = np.empty((codes.shape[0], rows.shape[1]))
+    firsts = pixel[run_starts]
+    for start, stop in _bands(rows):
+        lo, hi = np.searchsorted(firsts, (start, stop))
+        if lo < hi:
+            means[by_first[lo:hi]] = _run_means(rows, pixel[run_starts[lo]:ends[hi - 1]],
+                                                run_starts[lo:hi] - run_starts[lo])
+        _drop_pages_before(rows, stop)
+    return RegistrationResult(codes, means, skipped_depth, skipped_roi)

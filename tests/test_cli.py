@@ -251,6 +251,25 @@ class TestFuse:
         assert list(snapdir.glob("*.lgrid")) == []
 
 
+    def test_out_on_a_hard_link_leaves_the_linked_snapshot_alone(self, sim_run, tmp_path,
+                                                                 capsys):
+        """``--out`` replaces its path, so a hard link to another run's curve
+        snapshot gets the new grid and the snapshot keeps its bytes."""
+        argv = ["fuse", sim_run["manifest"], "--roi", ROI_ARG]
+        code, _, err = run_cli(capsys, *argv, "--per-frame-snapshots", tmp_path / "curve",
+                               "--out", tmp_path / "first.lgrid")
+        assert code == 0, err
+        # frame 0 is gated, so its snapshot holds the empty grid
+        snapshot = sorted((tmp_path / "curve").glob("*.lgrid"))[0]
+        before = snapshot.read_bytes()
+        link = tmp_path / "link.lgrid"
+        os.link(snapshot, link)
+        code, _, err = run_cli(capsys, *argv, "--out", link)
+        assert code == 0, err
+        assert snapshot.read_bytes() == before
+        assert link.read_bytes() == (tmp_path / "first.lgrid").read_bytes() != before
+        assert not list(tmp_path.glob(".*.tmp"))
+
     def test_keys_past_the_range_exit_2(self, tmp_path, capsys):
         from labelgrid import CameraIntrinsics, Pose
         from labelgrid.fileio import pose_record, write_depth_pgm, write_probimg

@@ -1,5 +1,7 @@
 """File formats: PGM depth, PROBIMG1, LGRID1 snapshots, manifests, PLY."""
 
+import builtins
+import errno
 import hashlib
 import json
 import math
@@ -545,6 +547,43 @@ class TestLgridCellValues:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: .*float32"):
             save_grid(path, grid)
         assert not path.exists()
+
+    def test_failed_write_leaves_the_old_snapshot_whole(self, tmp_path, monkeypatch):
+        """A write that fails after the header, as on a full disk, leaves the
+        file it would replace as it was, and no temporary file."""
+        from labelgrid import fileio
+
+        path = tmp_path / "g.lgrid"
+        save_grid(path, populated_grid())
+        old = path.read_bytes()
+
+        class FillsUp:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                if self.f.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.f.write(data)
+
+        monkeypatch.setattr(fileio, "open", lambda file, mode: FillsUp(builtins.open(file, mode)),
+                            raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            save_grid(path, populated_grid(clamp=2.0))
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_a_missing_directory_is_named_in_the_error(self, tmp_path):
+        path = tmp_path / "missing" / "g.lgrid"
+        with pytest.raises(FileNotFoundError) as info:
+            save_grid(path, populated_grid())
+        assert info.value.filename == str(path)
 
 
 class TestManifestAndFrames:

@@ -1,6 +1,7 @@
 """Fusion pipeline: velocity gate state machine and stream semantics."""
 
 import math
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelgrid import (CameraIntrinsics, GateConfig, LabelOccupancyGrid, Pose,
-                       SensorFrame, camera_velocity, fuse_stream)
+                       SensorFrame, camera_velocity, fuse_stream, register_frame)
 from labelgrid.fileio import grid_to_bytes
 from labelgrid.grid import unpack_codes
 
@@ -175,6 +176,31 @@ class TestFuseStream:
         fuse_stream(grid, [frame], GateConfig(settle_frames=1), p_min=1e-3)
         key = unpack_codes(grid.codes)[0]
         assert grid.log_odds(key, 1) == pytest.approx(math.log(0.999 / 0.001), abs=1e-9)
+
+    def test_each_result_goes_before_the_next_frame_loads(self, monkeypatch):
+        """fuse_stream holds one fused frame at a time: the registration
+        result of a frame is freed before the next frame loads."""
+        from labelgrid import fusion
+
+        results = []
+
+        def register(*args):
+            result = register_frame(*args)
+            results.append(weakref.ref(result))
+            return result
+
+        class Item:
+            def __init__(self, frame):
+                self.timestamp, self.pose, self.frame = frame.timestamp, frame.pose, frame
+
+            def load(self):
+                assert [ref() for ref in results] == [None] * len(results)
+                return self.frame
+
+        monkeypatch.setattr(fusion, "register_frame", register)
+        frames = [frame_at(Pose(np.eye(3), [float(i), 0, 0]), 0.1 * i) for i in range(3)]
+        stats = fuse_stream(LabelOccupancyGrid(0.5, 2), map(Item, frames), GateConfig.disabled())
+        assert stats.frames_fused == len(results) == 3
 
     def test_stats_track_skipped_pixels(self):
         depth = np.full((16, 16), 1.0)

@@ -1,6 +1,9 @@
 """Registration: softmax, pinhole deprojection, frame-to-voxel binning."""
 
+import contextlib
 import math
+import mmap
+import os
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,9 @@ from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, register_frame,
                        softmax_image)
+from labelgrid import registration
+from labelgrid.fileio import (pose_record, read_frame_records, write_depth_pgm, write_manifest,
+                              write_probimg)
 from labelgrid.grid import pack_keys, unpack_codes, voxel_center
 from labelgrid.registration import _STEP_ROWS
 from oracles import oracle_frame_check, oracle_register
@@ -657,3 +663,158 @@ def test_pose_transform_is_the_literal_product(quaternion, translation, seed, sh
     assert np.array_equal(pose.transform(points).view(np.uint64), expected.view(np.uint64))
     assert np.array_equal(pose.rotate(points).view(np.uint64),
                           (points @ pose.rotation.T).view(np.uint64))
+
+
+# band sizes in pixel rows: one row, a few primes, and more than any test image
+BAND_ROWS = st.one_of(st.just(1), st.sampled_from([2, 3, 7, 13, 61, 257]), st.just(1 << 30))
+
+
+@contextlib.contextmanager
+def bands_of(rows, image):
+    """Band the frame check and the per-voxel means of ``image`` in ``rows``
+    pixels each. One row sets the band to one byte, which still reads one
+    row at a time."""
+    row_bytes = image.shape[-1] * image.dtype.itemsize
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(registration, "_BAND_BYTES", 1 if rows == 1 else rows * row_bytes)
+        yield
+
+
+def map_rss(path):
+    """Resident bytes of this process's maps of ``path``, from
+    /proc/self/smaps, or ``None`` when the file is not mapped."""
+    resident, inside, found = 0, False, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            fields = line.split()
+            if not fields[0].endswith(":"):
+                inside = " ".join(fields[5:]) == str(path)
+                found |= inside
+            elif inside and fields[0] == "Rss:":
+                resident += int(fields[1]) * 1024
+    return resident if found else None
+
+
+def probimg_frame_files(tmp_path, proba):
+    """A one-record manifest of a PROBIMG1 image and a depth image of 1 m,
+    and the frame's intrinsics."""
+    h, w = proba.shape[:2]
+    intr = CameraIntrinsics(fx=300.0, fy=300.0, cx=w / 2, cy=h / 2, width=w, height=h)
+    write_probimg(tmp_path / "p.probimg", proba)
+    write_depth_pgm(tmp_path / "d.pgm", np.ones((h, w)))
+    write_manifest(tmp_path / "manifest.json", [{
+        "depth_file": "d.pgm", "proba_file": "p.probimg", "timestamp": 0.0,
+        "pose": pose_record(Pose.identity(), intr, 0.0)}])
+    return tmp_path / "manifest.json", intr
+
+
+class TestBands:
+    """The frame check and the per-voxel means read the image band by band,
+    with the results of one pass over the whole image."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), BAND_ROWS,
+           st.lists(st.integers(1, 3 * _STEP_ROWS), min_size=1, max_size=24),
+           st.sampled_from([np.float32, np.float64]), st.booleans(), st.integers(2, 6))
+    def test_register_frame_matches_oracle(self, seed, band, lengths, dtype, with_roi, channels):
+        """Shuffled runs cross band edges, one band-aligned band has no valid
+        depth, and the roi is on or off: codes and means equal the oracle's,
+        bit for bit."""
+        rng = np.random.default_rng(seed)
+        voxel = rng.permutation(np.repeat(rng.permutation(4 * len(lengths))[:len(lengths)],
+                                          lengths))
+        if band <= voxel.size:
+            at = band * int(rng.integers(0, voxel.size // band + 1))
+            voxel = np.insert(voxel, at, np.full(band, -1))
+        proba = random_proba(rng, (1, voxel.size, channels), dtype, negative_zero=False)
+        # z keys 1 ..= 2 * len(lengths) of the 4 * len(lengths) the voxels span
+        roi = Box3((0.0, 0.0, 0.0), (1.0, 1.0, 2 * len(lengths) + 0.5)) if with_roi else None
+        with bands_of(band, proba):
+            assert_matches_unique_oracle(voxel_run_frame(voxel, proba), roi=roi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), BAND_ROWS, st.sampled_from([np.float32, np.float64]),
+           st.integers(2, 40), st.sampled_from([-1, 1]), st.booleans(), st.floats(-3.0, 3.0),
+           st.floats(0.0, 1.0), st.sampled_from([None, -0.25, 1.5, np.nan]))
+    def test_frame_check_matches_oracle(self, seed, band, dtype, channels, side, near_bound,
+                                        offset, share, bad):
+        """Sums pushed a few margins around 1e-5 or the float32 pass
+        threshold, and an entry outside [0, 1] in a random band: the check
+        accepts and rejects as the oracle does, with its message."""
+        margin = channels * float(np.finfo(dtype).eps) + 1e-12
+        deviation = (1e-5 if near_bound else 1e-5 - margin) + offset * margin
+        image = pushed_simplex(seed, (7, 9, channels), dtype, side * deviation, share)
+        if bad is not None:
+            rng = np.random.default_rng(seed)
+            image[rng.integers(7), rng.integers(9), rng.integers(channels)] = bad
+        with bands_of(band, image):
+            assert frame_check(image) == oracle_frame_check(image)
+
+    @pytest.mark.parametrize("band", [1, 7, 1 << 30])
+    def test_an_entry_past_1_in_the_last_band_outranks_off_sums_in_the_first(self, band):
+        image = pushed_simplex(4, (5, 6, 3), np.float32, 0.0, share=0.0)
+        image[0, 0] *= 1.001
+        image[-1, -1, 0] = 1.5
+        with bands_of(band, image):
+            assert frame_check(image) == "probability image entries must lie in [0, 1]"
+        assert oracle_frame_check(image) == "probability image entries must lie in [0, 1]"
+
+    @pytest.mark.parametrize("band", [1, 7, 1 << 30])
+    def test_off_sums_in_two_bands_report_the_worst_deviation(self, band):
+        image = pushed_simplex(4, (5, 6, 3), np.float64, 0.0, share=0.0)
+        image[0, 0] *= 1.002
+        image[-1, -1] *= 0.995
+        expected = "probability image channel sums deviate from 1 by 0.005"
+        assert oracle_frame_check(image) == expected
+        with bands_of(band, image):
+            assert frame_check(image) == expected
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
+    def test_a_read_only_map_keeps_at_most_one_band_resident(self, tmp_path, opener):
+        """A 320x240x40 PROBIMG1 frame maps 12.3 MB. After its check, and
+        again after register_frame, at most one band and two pages of it
+        are resident; touching every entry brings the whole image back."""
+        rng = np.random.default_rng(13)
+        raw = rng.random((240, 320, 40))
+        manifest, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
+        path = tmp_path / "p.probimg"
+        if opener == "FrameRecord.load":
+            frame = read_frame_records(manifest)[0].load()
+        else:
+            image = np.memmap(path, dtype="<f4", mode="r", shape=raw.shape,
+                              offset=path.stat().st_size - raw.size * 4)
+            frame = make_frame(np.ones((240, 320)), image, intr)
+        bound = registration._BAND_BYTES + 2 * mmap.PAGESIZE
+        assert map_rss(path) <= bound
+        result = register_frame(frame, 0.01)
+        assert len(result.codes) > 1000
+        assert map_rss(path) <= bound
+        frame.proba.sum(dtype=np.float64)
+        assert map_rss(path) >= raw.size * 4
+
+    @pytest.mark.parametrize("kind", ["copy-on-write map", "heap array"])
+    def test_writable_images_keep_their_values(self, tmp_path, kind):
+        """An image written after mapping it copy-on-write, where dropping
+        pages would bring the file's values back, and a heap array register
+        as the oracle does and hold their values afterwards."""
+        rng = np.random.default_rng(14)
+        shape = (30, 40, 4)
+        on_disk, written = (random_proba(rng, shape, np.float32, negative_zero=False)
+                            for _ in range(2))
+        path = tmp_path / "p.probimg"
+        write_probimg(path, on_disk)
+        if kind == "copy-on-write map":
+            with open(path, "rb") as f:
+                mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+            image = np.frombuffer(mapped, "<f4", count=on_disk.size,
+                                  offset=len(mapped) - on_disk.nbytes).reshape(shape)
+        else:
+            image = np.empty(shape, dtype=np.float32)
+        image[...] = written
+        voxel = rng.integers(0, 50, size=30 * 40)
+        with bands_of(3, image):
+            frame = voxel_run_frame(voxel, image)
+            assert frame_check(image) == oracle_frame_check(written) is None
+            assert_matches_unique_oracle(frame)
+        assert np.array_equal(image, written)
