@@ -106,6 +106,15 @@ def _sorted_codes(codes) -> np.ndarray:
     return codes
 
 
+# update and _insert read and write the log-odds matrix in bands of this
+# many bytes of whole rows, at least one row each
+_BAND_BYTES = 1 << 20
+
+
+def _band_rows(num_labels: int) -> int:
+    return max(1, _BAND_BYTES // (8 * num_labels))
+
+
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.flags.writeable = False
@@ -118,6 +127,14 @@ class LabelOccupancyGrid:
     Cells are stored as a sorted int64 code array (see :func:`pack_key`)
     and an ``(N, num_labels)`` float64 log-odds matrix with one row per
     code; :attr:`codes` and :attr:`log_odds_matrix` are read-only views.
+
+    An update that adds cells lengthens the matrix in place, so the grid
+    keeps one copy of it. A view from :attr:`codes`, :attr:`log_odds_matrix`
+    or :meth:`label_log_odds` that is alive across such an update stays
+    readable and keeps showing the cells as they were before it: the grid
+    moves to new arrays, and a live matrix view costs a second copy of the
+    matrix for that update. An update that adds no cells writes its rows in
+    place, where a live view sees them.
 
     Parameters
     ----------
@@ -163,7 +180,11 @@ class LabelOccupancyGrid:
 
     @property
     def log_odds_matrix(self) -> np.ndarray:
-        """(N, num_labels) log-odds, row i belonging to ``codes[i]`` (read-only view)."""
+        """(N, num_labels) log-odds, row i belonging to ``codes[i]`` (read-only view).
+
+        While the view is alive, an update that adds cells copies the matrix
+        instead of lengthening it in place, and the view keeps the old rows.
+        """
         return _read_only(self._values)
 
     def __len__(self) -> int:
@@ -181,45 +202,86 @@ class LabelOccupancyGrid:
         inside (0, 1). Every cell gets ``clip(row + log(p / (1 - p)), -clamp,
         clamp)``; voxels without a cell start from zero. Every voxel is
         stored, whether or not its center lies in the roi.
+
+        New cells lengthen the matrix in place, and the rows are updated in
+        bands of about 1 MiB, so an update holds no ``(N, num_labels)``
+        temporary beside the matrix. Each update that adds cells still moves
+        every row after the first new one.
         """
         codes = _sorted_codes(codes)
         p = np.asarray(probs, dtype=float)
         if p.shape != (codes.shape[0], self.num_labels):
             raise ValueError(f"expected ({codes.shape[0]}, {self.num_labels}) probabilities, "
                              f"got shape {p.shape}")
-        if not ((p > 0.0) & (p < 1.0)).all():
+        # written so that a NaN, which fails every comparison, is rejected
+        if p.size and not (p.min() > 0.0 and p.max() < 1.0):
             raise ValueError("measurement probabilities must lie strictly in (0, 1)")
-        delta = np.subtract(1.0, p)
-        np.log(np.divide(p, delta, out=delta), out=delta)
         rows = self._codes.searchsorted(codes)
         new = rows >= self._codes.shape[0]
         new[~new] = self._codes[rows[~new]] != codes[~new]
         if new.any():
-            self._codes = np.insert(self._codes, rows[new], codes[new])
-            self._values = np.insert(self._values, rows[new], 0.0, axis=0)
+            self._insert(codes[new], rows[new])
             # each code moves down by the number of new codes sorted before it
             rows += np.cumsum(new) - new
-        cells = self._values[rows]
-        cells += delta
-        np.clip(cells, -self.clamp, self.clamp, out=cells)
-        self._values[rows] = cells
+        step = _band_rows(self.num_labels)
+        for start in range(0, rows.shape[0], step):
+            band, at = p[start:start + step], rows[start:start + step]
+            delta = np.subtract(1.0, band)
+            np.log(np.divide(band, delta, out=delta), out=delta)
+            cells = self._values[at]
+            cells += delta
+            np.clip(cells, -self.clamp, self.clamp, out=cells)
+            self._values[at] = cells
+            # free this band's temporaries before the next band allocates its own
+            del delta, cells
 
     def update_voxel(self, key, label: int, measurement_p: float) -> None:
         """Add one measurement for (voxel, label); other labels unchanged.
 
-        The voxel is stored even outside the roi. A new cell is inserted
-        into the sorted arrays, so building a large grid one voxel at a
-        time is quadratic; fuse frames with :meth:`update`.
+        The voxel is stored even outside the roi. A new cell moves every
+        row after it, so building a large grid one voxel at a time is
+        quadratic; fuse frames with :meth:`update`.
         """
         code = pack_key(key)
         label = self._check_label(label)
         delta = logit(measurement_p)
         row = int(self._codes.searchsorted(code))
         if row == self._codes.shape[0] or self._codes[row] != code:
-            self._codes = np.insert(self._codes, row, code)
-            self._values = np.insert(self._values, row, 0.0, axis=0)
+            self._insert(np.array([code], dtype=np.int64), np.array([row]))
         value = float(self._values[row, label]) + delta
         self._values[row, label] = min(max(value, -self.clamp), self.clamp)
+
+    def _insert(self, added: np.ndarray, before: np.ndarray) -> None:
+        """Store the strictly increasing new codes ``added``, each before
+        row ``before[i]`` of the current arrays (their ``searchsorted``
+        positions, as ``np.insert`` takes them), with all-zero rows.
+
+        The matrix is lengthened in place with ``ndarray.resize``, a
+        ``realloc`` that glibc serves for a large block by remapping its
+        pages, not copying them. Old row ``i`` then moves down by the
+        number of added codes below ``codes[i]``, one band at a time from
+        the end, so no band overwrites a row not yet read. While a view of
+        the matrix is alive ``resize`` refuses, and the rows move into a
+        fresh matrix instead; the view keeps the old one.
+        """
+        old = self._codes
+        n, k = old.shape[0], added.shape[0]
+        shape = (n + k, self.num_labels)
+        try:
+            self._values.resize(shape, refcheck=True)
+            # rows before the first new one stay where they are
+            source, first = self._values, int(before[0])
+        except ValueError:
+            source, first = self._values, 0
+            self._values = np.empty(shape)
+        step = _band_rows(self.num_labels)
+        for stop in range(n, first, -step):
+            start = max(first, stop - step)
+            # fancy assignment copies a source band that overlaps its target rows
+            self._values[np.arange(start, stop) + added.searchsorted(old[start:stop])] = \
+                source[start:stop]
+        self._values[before + np.arange(k)] = 0.0
+        self._codes = np.insert(old, before, added)
 
     def log_odds(self, key, label: int) -> float:
         """Stored log-odds for (voxel, label); 0.0 for untouched voxels."""
@@ -261,7 +323,8 @@ class LabelOccupancyGrid:
         ``codes`` must be strictly increasing; ``values`` is (N, num_labels).
         """
         codes = _sorted_codes(codes)
-        values = np.array(values, dtype=float)
+        # C order: growing the matrix in place keeps rows, not columns, whole
+        values = np.array(values, dtype=float, order="C")
         if values.shape != (codes.shape[0], self.num_labels):
             raise ValueError(f"expected {codes.shape[0]} x {self.num_labels} log-odds values, "
                              f"got shape {values.shape}")

@@ -119,8 +119,11 @@ class SensorFrame:
             _drop_pages_before(rows, stop)
         margin = labels * float(np.finfo(image.dtype).eps) * max(1.0, high) + 1e-12
         if max(1.0 - low, high - 1.0) + margin > 1e-5:
-            sums = image.sum(axis=2, dtype=np.float64)
-            worst = float(np.abs(sums - 1.0).max())
+            worst = 0.0
+            for start, stop in _bands(rows):
+                sums = rows[start:stop].sum(axis=1, dtype=np.float64)
+                worst = max(worst, float(np.abs(sums - 1.0).max()))
+                _drop_pages_before(rows, stop)
             if worst > 1e-5:
                 raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
         self.proba = image

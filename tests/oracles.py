@@ -1,8 +1,10 @@
 """Reference implementations that tests require the fast code to match bit for bit.
 
 Registration, update and LGRID1 follow the dict-of-vectors design the
-columnar grid replaced. The renderer references are the ``(N, 3)`` slab
-test and the ``(N, L)`` noise model that render every frame on its own.
+columnar grid replaced; ``oracle_insert_update`` is the columnar update
+as it was before the matrix grew in place. The renderer references are
+the ``(N, 3)`` slab test and the ``(N, L)`` noise model that render every
+frame on its own.
 The frame check sums every pixel's channels in float64, as ``SensorFrame``
 did before its float32 pass.
 """
@@ -57,6 +59,29 @@ def oracle_update(cells: dict, roi, resolution, clamp, keys, probs) -> int:
         vec = cells.get(key, np.zeros(len(p)))
         cells[key] = np.clip(vec + np.log(p / (1.0 - p)), -clamp, clamp)
     return discarded
+
+
+def oracle_insert_update(codes, values, new_codes, probs, clamp):
+    """``(codes, values)`` of a columnar grid after ``update(new_codes,
+    probs)``, computed as ``LabelOccupancyGrid.update`` did before it grew
+    its matrix in place: ``np.insert`` into new arrays, then one gather,
+    add, clip and scatter over all rows."""
+    p = np.asarray(probs, dtype=float)
+    delta = np.subtract(1.0, p)
+    np.log(np.divide(p, delta, out=delta), out=delta)
+    rows = codes.searchsorted(new_codes)
+    new = rows >= codes.shape[0]
+    new[~new] = codes[rows[~new]] != new_codes[~new]
+    values = values.copy()
+    if new.any():
+        codes = np.insert(codes, rows[new], new_codes[new])
+        values = np.insert(values, rows[new], 0.0, axis=0)
+        rows += np.cumsum(new) - new
+    cells = values[rows]
+    cells += delta
+    np.clip(cells, -clamp, clamp, out=cells)
+    values[rows] = cells
+    return codes, values
 
 
 def oracle_lgrid_bytes(cells: dict, resolution, num_labels, clamp, roi) -> bytes:

@@ -1,6 +1,8 @@
 """Grid core: logit/probability math, update recursion, segmentation."""
 
+import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelgrid import Box3, LabelOccupancyGrid, logit, probability, voxel_center
+from labelgrid import grid as grid_module
 from labelgrid.grid import pack_key, pack_keys, unpack_codes
-from oracles import oracle_update
+from oracles import oracle_insert_update, oracle_update
 
 KEY_LIMIT = 2 ** 20  # keys must lie in [-KEY_LIMIT, KEY_LIMIT) on every axis
 
@@ -457,3 +460,128 @@ def test_grid_is_unequal_to_a_non_grid():
     grid = LabelOccupancyGrid(0.01, 2)
     assert grid.__eq__(5) is NotImplemented
     assert (grid == 5) is False and grid != 5
+
+
+# --- growth in place against the np.insert update ----------------------------
+
+# band sizes in matrix rows: one row, a few primes, and more than any test grid
+BAND_ROWS = st.one_of(st.just(1), st.sampled_from([2, 3, 7, 13]), st.just(1 << 30))
+
+
+@contextlib.contextmanager
+def grid_bands_of(rows, labels):
+    """Band the update and the growth of a ``labels``-label grid in ``rows`` rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(grid_module, "_BAND_BYTES", rows * 8 * labels)
+        yield
+
+
+def stored_grid(codes, labels, clamp, seed, order="C"):
+    """A grid holding ``codes`` with random log-odds rows inside the clamp."""
+    grid = LabelOccupancyGrid(0.01, labels, clamp=clamp)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-min(clamp, 9.0), min(clamp, 9.0), (len(codes), labels))
+    grid.set_cells(np.array(codes, dtype=np.int64), np.array(values, order=order))
+    return grid
+
+
+def assert_matches_insert_oracle(grid, codes, probs, expected):
+    """Update ``grid`` and the oracle's ``expected`` (codes, values) pair;
+    returns the oracle's result after checking equal bytes."""
+    expected = oracle_insert_update(*expected, codes, probs, grid.clamp)
+    grid.update(codes, probs)
+    assert grid.codes.tobytes() == expected[0].tobytes()
+    assert grid.log_odds_matrix.tobytes() == expected[1].tobytes()
+    return expected
+
+
+def random_probs(rng, rows, labels):
+    """Probabilities in (0, 1), a few of them close enough to 0 or 1 that
+    their logits pass any finite clamp."""
+    probs = rng.uniform(1e-3, 1.0 - 1e-3, (rows, labels))
+    extreme = rng.random((rows, labels)) < 0.1
+    probs[extreme] = rng.choice([1e-12, 1.0 - 1e-12], size=int(extreme.sum()))
+    return probs
+
+
+class TestGrowth:
+    """New cells lengthen the matrix in place and move the old rows down
+    band by band; the codes and every bit of the matrix are those of the
+    np.insert update."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spread_batches(), st.integers(0, 2 ** 32 - 1), BAND_ROWS, st.integers(2, 5),
+           st.sampled_from([0.5, 3.5, math.inf]), st.sampled_from(["empty", "C", "F"]))
+    def test_batches_match_the_insert_oracle(self, batches, seed, band, labels, clamp, start):
+        """Batches into an empty grid, or one loaded with set_cells from a C-
+        or Fortran-ordered matrix, with new codes below, between and above
+        the stored ones, under every band size."""
+        rng = np.random.default_rng(seed)
+        stored = [] if start == "empty" else batches[0][::2] + 1
+        grid = stored_grid(stored, labels, clamp, seed, order="C" if start == "empty" else start)
+        expected = (grid.codes.copy(), grid.log_odds_matrix.copy())
+        with grid_bands_of(band, labels):
+            for codes in batches:
+                expected = assert_matches_insert_oracle(
+                    grid, codes, random_probs(rng, codes.size, labels), expected)
+
+    @pytest.mark.parametrize("clamp", [3.5, math.inf])
+    @pytest.mark.parametrize("band", [1, 2, 1 << 30])
+    @pytest.mark.parametrize("stored, incoming", [
+        ([10, 20, 30], [1, 2]),
+        ([10, 20, 30], [15, 25]),
+        ([10, 20, 30], [40, 41]),
+        ([10, 20, 30], [1, 10, 15, 30, 40]),
+        ([10, 20, 30], []),
+        ([], [3, 5, 8]),
+        ([10, 20, 30], [10, 20, 30]),
+    ], ids=["before", "between", "after", "mixed", "empty-update", "all-new", "all-existing"])
+    def test_cases_match_the_insert_oracle(self, stored, incoming, band, clamp):
+        grid = stored_grid(stored, 3, clamp, seed=len(incoming))
+        expected = (grid.codes.copy(), grid.log_odds_matrix.copy())
+        codes = np.array(incoming, dtype=np.int64)
+        probs = random_probs(np.random.default_rng(band), codes.size, 3)
+        with grid_bands_of(band, 3):
+            assert_matches_insert_oracle(grid, codes, probs, expected)
+
+    @pytest.mark.parametrize("view", ["log_odds_matrix", "codes", "label_log_odds"])
+    def test_a_view_alive_across_growth_keeps_the_old_cells(self, view):
+        """A view taken before an update that adds cells stays readable and
+        shows the cells as they were before that update: the grid moves into
+        new arrays and leaves the view's buffer alone. An update that adds
+        no cells writes its rows in place, so a view taken after the growth
+        shows them."""
+        grid = stored_grid([10, 20, 30], 3, 3.5, seed=1)
+        alive = grid.label_log_odds(2) if view == "label_log_odds" else getattr(grid, view)
+        before = alive.copy()
+        expected = (grid.codes.copy(), grid.log_odds_matrix.copy())
+        rng = np.random.default_rng(2)
+        with grid_bands_of(1, 3):
+            codes = np.array([15, 20, 25, 40], dtype=np.int64)
+            expected = assert_matches_insert_oracle(grid, codes, random_probs(rng, 4, 3),
+                                                    expected)
+            assert np.array_equal(alive, before)
+            matrix = grid.log_odds_matrix
+            codes = np.array([15, 30], dtype=np.int64)
+            assert_matches_insert_oracle(grid, codes, random_probs(rng, 2, 3), expected)
+            assert np.array_equal(matrix, grid.log_odds_matrix)
+            assert not np.array_equal(matrix, expected[1])
+
+    def test_growing_a_large_grid_allocates_less_than_half_its_matrix(self):
+        """A 20k-cell, 40-label grid holds a 6.4 MB matrix. Updating every
+        cell and adding 200 new ones (1 %) peaks below half of that in
+        traced allocations; np.insert allocated a second whole matrix."""
+        labels, stored = 40, np.arange(0, 40_000, 2, dtype=np.int64)
+        codes = np.union1d(stored, np.arange(1, 400, 2))
+        probs = random_probs(np.random.default_rng(3), codes.size, labels)
+        tracemalloc.start()
+        try:
+            grid = stored_grid(stored, labels, 3.5, seed=4)
+            tracemalloc.reset_peak()
+            before, _ = tracemalloc.get_traced_memory()
+            grid.update(codes, probs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 20_200
+        assert peak - before < 20_000 * labels * 8 / 2

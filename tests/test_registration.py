@@ -793,6 +793,22 @@ class TestBands:
         frame.proba.sum(dtype=np.float64)
         assert map_rss(path) >= raw.size * 4
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    def test_sums_that_take_the_float64_pass_keep_at_most_one_band_resident(self, tmp_path):
+        """Channel sums 0.8e-5 off 1 are too far off for the float32 pass,
+        so the float64 pass decides the frame: it accepts it, reading the
+        map band by band as the first pass does."""
+        rng = np.random.default_rng(13)
+        raw = rng.random((240, 320, 40))
+        proba = (raw / raw.sum(axis=2, keepdims=True) * (1.0 + 0.8e-5)).astype(np.float32)
+        assert np.abs(proba.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
+        manifest, _ = probimg_frame_files(tmp_path, proba)
+        frame = read_frame_records(manifest)[0].load()
+        bound = registration._BAND_BYTES + 2 * mmap.PAGESIZE
+        assert map_rss(tmp_path / "p.probimg") <= bound
+        assert len(register_frame(frame, 0.01).codes) > 1000
+        assert map_rss(tmp_path / "p.probimg") <= bound
+
     @pytest.mark.parametrize("kind", ["copy-on-write map", "heap array"])
     def test_writable_images_keep_their_values(self, tmp_path, kind):
         """An image written after mapping it copy-on-write, where dropping
