@@ -106,13 +106,17 @@ def _sorted_codes(codes) -> np.ndarray:
     return codes
 
 
-# update and _insert read and write the log-odds matrix in bands of this
-# many bytes of whole rows, at least one row each
+# the frame check and the per-voxel means read the probability image, and
+# update and _insert the log-odds matrix, in bands of this many bytes of
+# whole rows, at least one row each
 _BAND_BYTES = 1 << 20
 
 
-def _band_rows(num_labels: int) -> int:
-    return max(1, _BAND_BYTES // (8 * num_labels))
+def _bands(rows: np.ndarray, first: int = 0):
+    """``(start, stop)`` of each band of the 2-D array ``rows``, from row ``first`` on."""
+    step = max(1, _BAND_BYTES // (rows.shape[1] * rows.itemsize))
+    for start in range(first, rows.shape[0], step):
+        yield start, min(start + step, rows.shape[0])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -223,9 +227,8 @@ class LabelOccupancyGrid:
             self._insert(codes[new], rows[new])
             # each code moves down by the number of new codes sorted before it
             rows += np.cumsum(new) - new
-        step = _band_rows(self.num_labels)
-        for start in range(0, rows.shape[0], step):
-            band, at = p[start:start + step], rows[start:start + step]
+        for start, stop in _bands(p):
+            band, at = p[start:stop], rows[start:stop]
             delta = np.subtract(1.0, band)
             np.log(np.divide(band, delta, out=delta), out=delta)
             cells = self._values[at]
@@ -274,9 +277,7 @@ class LabelOccupancyGrid:
         except ValueError:
             source, first = self._values, 0
             self._values = np.empty(shape)
-        step = _band_rows(self.num_labels)
-        for stop in range(n, first, -step):
-            start = max(first, stop - step)
+        for start, stop in reversed(list(_bands(source[:n], first))):
             # fancy assignment copies a source band that overlaps its target rows
             self._values[np.arange(start, stop) + added.searchsorted(old[start:stop])] = \
                 source[start:stop]

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Box3, Pose, integer, positive_finite
-from .grid import pack_keys, unpack_codes, voxel_center
+from .grid import _bands, pack_keys, unpack_codes, voxel_center
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,14 @@ class SensorFrame:
     a frame is built.
 
     The check reads the image one band of about 1 MiB at a time, and so
-    does :func:`register_frame`. When the image views a read-only file map
-    (:func:`~labelgrid.fileio.read_probimg`, or an ``np.memmap`` opened
-    with mode ``'r'``), each band's pages are dropped once it is used, so
-    a frame never holds its whole image resident; a dropped page is read
-    again from the file when it is touched, and rewriting the file while
-    the frame lives can end the process with SIGBUS.
+    does :func:`register_frame`. A band whose channel sums in the image's
+    dtype (float32 for PROBIMG1) cannot decide is summed again in float64
+    before the next band is read. When the image views a read-only file
+    map (:func:`~labelgrid.fileio.read_probimg`, or an ``np.memmap``
+    opened with mode ``'r'``), each band's pages are dropped once it is
+    used, so a frame never holds its whole image resident; a dropped page
+    is read again from the file when it is touched, and rewriting the
+    file while the frame lives can end the process with SIGBUS.
     """
 
     timestamp: float
@@ -100,32 +102,30 @@ class SensorFrame:
             raise ValueError("channel image needs at least two classes")
         # A channel sum in the image's dtype is off from the exact sum of L
         # entries in [0, 1] by at most gamma_L * sum, whatever the order of
-        # additions (Higham 2002, sections 3.1 and 4.2). The margin below is
-        # at least twice that, so a frame accepted here is one the float64
-        # sums accept; any other frame takes the float64 pass, which decides
-        # and words the error. On a 2-core Xeon VM, einsum took 1.0 ms on a
+        # additions (Higham 2002, sections 3.1 and 4.2). The margin below,
+        # taken from each band's own largest sum, is at least twice that, so
+        # a band accepted here is one the float64 sums accept; any other band
+        # is summed again in float64. Those sums decide the frame, and the
+        # error gives their worst deviation, which is the image's worst when
+        # it exceeds 1e-5. On a 2-core Xeon VM, einsum took 1.0 ms on a
         # 320x240x40 float32 image and a BLAS row sum 0.6 ms, but CLI fuse
         # of the transit-320 benchmark stream peaked 0.4 MB higher with BLAS.
         labels = image.shape[2]
         rows = image.reshape(-1, labels)
-        low, high = math.inf, -math.inf
+        eps, worst = float(np.finfo(image.dtype).eps), 0.0
         for start, stop in _bands(rows):
             band = rows[start:stop]
             # written so that a NaN entry, which fails every comparison, is rejected
             if not (band.min() >= 0.0 and band.max() <= 1.0):
                 raise ValueError("probability image entries must lie in [0, 1]")
             fast = np.einsum("ij->i", band)
-            low, high = min(low, float(fast.min())), max(high, float(fast.max()))
-            _drop_pages_before(rows, stop)
-        margin = labels * float(np.finfo(image.dtype).eps) * max(1.0, high) + 1e-12
-        if max(1.0 - low, high - 1.0) + margin > 1e-5:
-            worst = 0.0
-            for start, stop in _bands(rows):
-                sums = rows[start:stop].sum(axis=1, dtype=np.float64)
+            low, high = float(fast.min()), float(fast.max())
+            if max(1.0 - low, high - 1.0) + labels * eps * max(1.0, high) + 1e-12 > 1e-5:
+                sums = band.sum(axis=1, dtype=np.float64)
                 worst = max(worst, float(np.abs(sums - 1.0).max()))
-                _drop_pages_before(rows, stop)
-            if worst > 1e-5:
-                raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
+            _drop_pages_before(rows, stop)
+        if worst > 1e-5:
+            raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
         self.proba = image
 
     @property
@@ -159,18 +159,8 @@ class RegistrationResult:
 
 
 # runs longer than this finish with one np.add.accumulate, so the row
-# loop in _run_means takes at most this many steps per frame
+# loop in _run_means takes at most this many steps per call, one call per band
 _STEP_ROWS = 64
-# the frame check and the per-voxel means read the probability image in
-# bands of this many bytes of whole pixel rows, at least one row each
-_BAND_BYTES = 1 << 20
-
-
-def _bands(rows: np.ndarray):
-    """``(start, stop)`` of each band of the ``(pixels, labels)`` image ``rows``."""
-    step = max(1, _BAND_BYTES // (rows.shape[1] * rows.itemsize))
-    for start in range(0, rows.shape[0], step):
-        yield start, min(start + step, rows.shape[0])
 
 
 def _drop_pages_before(rows: np.ndarray, stop: int) -> None:
@@ -291,9 +281,6 @@ def register_frame(frame: SensorFrame, resolution: float,
         pixel = np.take(pixel, kept)
         keys = np.take(keys, kept, axis=0)
         del kept
-    if keys.shape[0] == 0:
-        return RegistrationResult(np.empty(0, dtype=np.int64), np.empty((0, frame.num_labels)),
-                                  skipped_depth, skipped_roi)
 
     codes = pack_keys(keys)
     del keys
@@ -301,7 +288,8 @@ def register_frame(frame: SensorFrame, resolution: float,
     order = np.argsort(codes, kind="stable")
     codes, pixel = codes[order], pixel[order]
     del order
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    # codes are >= 0, so the first always starts a run, and no keys give no runs
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
     codes = codes[starts]
     # Runs are summed band by band, in the order of their first pixel. A
     # run reads no pixel before its first, so once the runs that start in

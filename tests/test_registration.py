@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, register_frame,
                        softmax_image)
-from labelgrid import registration
+from labelgrid import grid, registration
 from labelgrid.fileio import (pose_record, read_frame_records, write_depth_pgm, write_manifest,
                               write_probimg)
 from labelgrid.grid import pack_keys, unpack_codes, voxel_center
@@ -676,7 +676,7 @@ def bands_of(rows, image):
     row at a time."""
     row_bytes = image.shape[-1] * image.dtype.itemsize
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(registration, "_BAND_BYTES", 1 if rows == 1 else rows * row_bytes)
+        patch.setattr(grid, "_BAND_BYTES", 1 if rows == 1 else rows * row_bytes)
         yield
 
 
@@ -769,6 +769,23 @@ class TestBands:
         with bands_of(band, image):
             assert frame_check(image) == expected
 
+    def test_sums_that_take_the_float64_pass_read_each_band_once(self):
+        """Channel sums 0.8e-5 off 1 send every band to the float64 pass,
+        which sums the band before the next one is read: the check drops
+        each band's pages once, in order."""
+        image = pushed_simplex(5, (6, 10, 40), np.float32, 0.8e-5, share=1.0)
+        assert np.abs(image.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
+        stops, drop = [], registration._drop_pages_before
+
+        def record(rows, stop):
+            stops.append(stop)
+            drop(rows, stop)
+
+        with bands_of(7, image), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(registration, "_drop_pages_before", record)
+            assert frame_check(image) is None
+        assert stops == [7, 14, 21, 28, 35, 42, 49, 56, 60]
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
     @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
     def test_a_read_only_map_keeps_at_most_one_band_resident(self, tmp_path, opener):
@@ -785,7 +802,7 @@ class TestBands:
             image = np.memmap(path, dtype="<f4", mode="r", shape=raw.shape,
                               offset=path.stat().st_size - raw.size * 4)
             frame = make_frame(np.ones((240, 320)), image, intr)
-        bound = registration._BAND_BYTES + 2 * mmap.PAGESIZE
+        bound = grid._BAND_BYTES + 2 * mmap.PAGESIZE
         assert map_rss(path) <= bound
         result = register_frame(frame, 0.01)
         assert len(result.codes) > 1000
@@ -804,7 +821,7 @@ class TestBands:
         assert np.abs(proba.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
         manifest, _ = probimg_frame_files(tmp_path, proba)
         frame = read_frame_records(manifest)[0].load()
-        bound = registration._BAND_BYTES + 2 * mmap.PAGESIZE
+        bound = grid._BAND_BYTES + 2 * mmap.PAGESIZE
         assert map_rss(tmp_path / "p.probimg") <= bound
         assert len(register_frame(frame, 0.01).codes) > 1000
         assert map_rss(tmp_path / "p.probimg") <= bound
