@@ -11,7 +11,6 @@ grids serialize to equal bytes.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import re
 import struct
@@ -91,7 +90,7 @@ def read_depth_pgm(path) -> np.ndarray:
     if len(data) != expected:
         raise ValueError(f"{path}: raster has {len(data)} bytes, expected {expected}")
     mm = np.frombuffer(data, dtype=">u2").reshape(height, width)
-    return mm.astype(float) / 1000.0
+    return np.divide(mm, 1000.0)
 
 
 # --- probability / logit images (PROBIMG1) ------------------------------
@@ -108,16 +107,17 @@ def write_probimg(path, values) -> None:
 
 
 def read_probimg(path) -> np.ndarray:
-    """A PROBIMG1 image as a read-only ``(H, W, C)`` float32 array.
+    """A PROBIMG1 image as a read-only ``(H, W, C)`` float32 ``np.memmap``.
 
     The payload is memory-mapped read-only, not copied: it stays mapped,
     holding one file descriptor, while the array or the frame that holds
     it lives, and the file needs only read permission. A
-    :class:`~labelgrid.registration.SensorFrame` of it reads it in bands
-    and drops each band's pages once used; a dropped page is read again
-    from the file when touched. So truncating or rewriting the file while
-    it is mapped can end the process with SIGBUS, not a ``ValueError``
-    (so ``fuse`` does not exit with code 2).
+    :class:`~labelgrid.registration.SensorFrame` of it reads it one band
+    at a time, each band through a map of its own, opened by the file's
+    name and closed before the next band is read. So a file replaced while
+    its frame lives can feed the new file's bytes to registration, and
+    truncating the file while it is mapped can end the process with
+    SIGBUS, not a ``ValueError`` (so ``fuse`` does not exit with code 2).
     """
     with open(path, "rb") as f:
         line = f.readline(_PROBIMG_HEADER_MAX)
@@ -131,9 +131,8 @@ def read_probimg(path) -> np.ndarray:
         size, expected = os.fstat(f.fileno()).st_size - len(line), h * w * c * 4
         if size != expected:
             raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")
-        mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    # the array holds the only reference to the mapping, which closes with it
-    return np.frombuffer(mapped, dtype="<f4", count=h * w * c, offset=len(line)).reshape(h, w, c)
+        # the array holds the only reference to the mapping, which closes with it
+        return np.memmap(f, dtype="<f4", mode="r", offset=len(line), shape=(h, w, c))
 
 
 # --- grid snapshots (LGRID1) ---------------------------------------------

@@ -71,12 +71,15 @@ class SensorFrame:
     The check reads the image one band of about 1 MiB at a time, and so
     does :func:`register_frame`. A band whose channel sums in the image's
     dtype (float32 for PROBIMG1) cannot decide is summed again in float64
-    before the next band is read. When the image views a read-only file
-    map (:func:`~labelgrid.fileio.read_probimg`, or an ``np.memmap``
-    opened with mode ``'r'``), each band's pages are dropped once it is
-    used, so a frame never holds its whole image resident; a dropped page
-    is read again from the file when it is touched, and rewriting the
-    file while the frame lives can end the process with SIGBUS.
+    before the next band is read. When the image views a read-only
+    ``np.memmap`` of a file (as :func:`~labelgrid.fileio.read_probimg`
+    returns, or one opened with mode ``'r'``), each band is read through
+    a map of its own bytes of the file, closed before the next band is
+    mapped, so at most one band of the image is resident at a time. Any
+    other image is read in place. The bands are mapped by file name, so a
+    file replaced while the frame lives can feed its new bytes to
+    :func:`register_frame`, and one truncated can end the process with
+    SIGBUS.
     """
 
     timestamp: float
@@ -113,8 +116,7 @@ class SensorFrame:
         labels = image.shape[2]
         rows = image.reshape(-1, labels)
         eps, worst = float(np.finfo(image.dtype).eps), 0.0
-        for start, stop in _bands(rows):
-            band = rows[start:stop]
+        for _, band in _band_windows(rows):
             # written so that a NaN entry, which fails every comparison, is rejected
             if not (band.min() >= 0.0 and band.max() <= 1.0):
                 raise ValueError("probability image entries must lie in [0, 1]")
@@ -123,7 +125,6 @@ class SensorFrame:
             if max(1.0 - low, high - 1.0) + labels * eps * max(1.0, high) + 1e-12 > 1e-5:
                 sums = band.sum(axis=1, dtype=np.float64)
                 worst = max(worst, float(np.abs(sums - 1.0).max()))
-            _drop_pages_before(rows, stop)
         if worst > 1e-5:
             raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
         self.proba = image
@@ -159,63 +160,72 @@ class RegistrationResult:
 
 
 # runs longer than this finish with one np.add.accumulate, so the row
-# loop in _run_means takes at most this many steps per call, one call per band
+# loop in _add_runs takes at most this many steps per call, one call per band
 _STEP_ROWS = 64
 
 
-def _drop_pages_before(rows: np.ndarray, stop: int) -> None:
-    """Drop the resident pages of the file map under ``rows`` that lie wholly
-    before row ``stop``; the kernel reads them again from the file if they
-    are touched later.
+def _window(path, offset: int, dtype: np.dtype, shape: tuple[int, int]) -> np.ndarray:
+    """A read-only array of ``shape`` at byte ``offset`` of the file, in a
+    map of its own, which closes when the array is freed."""
+    start = offset - offset % mmap.ALLOCATIONGRANULARITY
+    size = offset - start + shape[0] * shape[1] * dtype.itemsize
+    with open(path, "rb") as f:
+        window = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ, offset=start)
+    return np.frombuffer(window, dtype, shape[0] * shape[1], offset - start).reshape(shape)
 
-    Only a read-only map is dropped: in a writable or copy-on-write map,
-    DONTNEED would throw away pages written since mapping. A heap array,
-    a non-contiguous view and a platform without ``madvise`` are left alone.
+
+def _band_windows(rows: np.ndarray):
+    """``(start, band)`` for each band of the 2-D array ``rows``.
+
+    A C-contiguous view of a read-only ``np.memmap`` of a named file is
+    read through a new map of each band's bytes alone, which closes once
+    the caller lets go of the band, as a loop does when it takes the next
+    one. A fault maps no page outside its map, however large the
+    page-cache folio that holds it, so at most the band in hand is
+    resident. Any other array's bands are views of it.
     """
     owner = rows
-    while isinstance(owner, np.ndarray):
+    while isinstance(owner.base, np.ndarray):
         owner = owner.base
-    if isinstance(owner, memoryview):
-        owner = owner.obj
-    if not (isinstance(owner, mmap.mmap) and hasattr(mmap, "MADV_DONTNEED")
-            and rows.flags.c_contiguous and memoryview(owner).readonly):
-        return
-    offset = rows.ctypes.data - np.frombuffer(owner, np.uint8).ctypes.data
-    end = (offset + stop * rows.strides[0]) // mmap.PAGESIZE * mmap.PAGESIZE
-    if end > 0:
-        owner.madvise(mmap.MADV_DONTNEED, 0, end)
+    mapped = (isinstance(owner, np.memmap) and owner.mode == "r" and owner.filename is not None
+              and rows.flags.c_contiguous)
+    for start, stop in _bands(rows):
+        if mapped:
+            offset = owner.offset + rows.ctypes.data - owner.ctypes.data + start * rows.strides[0]
+            yield start, _window(owner.filename, offset, rows.dtype, (stop - start, rows.shape[1]))
+        else:
+            yield start, rows[start:stop]
 
 
-def _run_means(rows: np.ndarray, pixel: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """float64 means of ``rows`` over each run ``pixel[starts[i]:starts[i + 1]]``
-    (the last run ends at ``len(pixel)``): each run's sum over its length.
+def _add_runs(sums: np.ndarray, rows: np.ndarray, pixel: np.ndarray, run: np.ndarray) -> None:
+    """Add the float64 rows ``rows[pixel]`` onto ``sums[run]``, for a sorted
+    ``run`` of indices >= 0; a run is the pixels of one index.
 
-    Each sum is ``((+0.0 + r0) + r1) + ...`` in run order, the left-to-right
-    sum that adding the rows one at a time into zeros forms: rows are
-    widened exactly from float32, and the ``+0.0`` start turns a ``-0.0``
-    entry into ``+0.0`` as a zero-initialised sum does. Runs are stepped
-    longest first, so step k adds the k-th row of a prefix of them.
-    ``np.add.reduceat`` is not used: it regroups runs of 8 or more rows.
+    Each run's rows are added one at a time, in order, onto its running
+    sum, as a loop over them would: rows are widened exactly from float32,
+    and a sum that starts at ``+0.0`` turns a ``-0.0`` entry into ``+0.0``.
+    Runs are stepped longest first, so step k adds the k-th row of a prefix
+    of them. ``np.add.reduceat`` is not used: it regroups runs of 8 or more
+    rows.
     """
+    starts = np.flatnonzero(np.diff(run, prepend=-1))
     lengths = np.diff(starts, append=pixel.shape[0])
     by_length = np.argsort(-lengths, kind="stable")
     first, length = starts[by_length], lengths[by_length]
+    target = run[first]
     # longer[k] = how many runs have more than k rows (a prefix of by_length)
     steps = min(int(length[0]), _STEP_ROWS)
     longer = np.searchsorted(-length, -np.arange(steps + 1), side="left")
     # np.take gathers the same rows as fancy indexing, in less time
-    sums = np.add(np.take(rows, pixel[first], axis=0), 0.0, dtype=float)
-    for k in range(1, steps):
+    acc = np.take(sums, target, axis=0)
+    for k in range(steps):
         m = longer[k]
-        sums[:m] += np.take(rows, pixel[first[:m] + k], axis=0)
+        acc[:m] += np.take(rows, pixel[first[:m] + k], axis=0)
     # accumulate adds strictly in order, so the partial sums carry on exactly
     for r in range(longer[steps]):
         rest = np.take(rows, pixel[first[r] + steps:first[r] + length[r]], axis=0)
-        sums[r] = np.add.accumulate(np.concatenate((sums[r:r + 1], rest)), axis=0)[-1]
-    sums /= length[:, None]
-    means = np.empty_like(sums)
-    means[by_length] = sums
-    return means
+        acc[r] = np.add.accumulate(np.concatenate((acc[r:r + 1], rest)), axis=0)[-1]
+    sums[target] = acc
 
 
 def register_frame(frame: SensorFrame, resolution: float,
@@ -229,87 +239,88 @@ def register_frame(frame: SensorFrame, resolution: float,
     deterministic: each voxel's sum starts at ``+0.0`` and adds its
     pixels' probability rows in float64, one at a time, in pixel
     row-major order, then divides by the pixel count. A kept voxel key
-    outside [-2**20, 2**20) on any axis raises ``ValueError``. The
-    probability image is read in bands, and a file map's pages are
-    dropped behind them, as in the :class:`SensorFrame` check.
+    outside [-2**20, 2**20) on any axis raises ``ValueError``.
+
+    Pixels are deprojected and binned one band at a time. The probability
+    image is then read one band at a time, as the :class:`SensorFrame`
+    check reads it, and each voxel's sum is carried from band to band.
     """
     positive_finite("resolution", resolution)
-    intr = frame.intrinsics
-    depth = frame.depth
-    valid = np.isfinite(depth) & (depth > 0)
-    skipped_depth = int(depth.size - np.count_nonzero(valid))
-
-    # the flat pixel index stands in for the probability row until the sums
-    pixel = np.flatnonzero(valid)
-    del valid
-    vv, uu = np.divmod(pixel, intr.width)
-    d = np.take(depth, pixel)
-    # one (N, 3) buffer of camera points, filled in place; each temporary
-    # goes once it is dead
-    cam = np.empty((pixel.shape[0], 3))
-    # in place, in this order: the bits of the whole-array (coord - center) * d / focal
-    for out, coord, center, focal in ((cam[:, 0], uu, intr.cx, intr.fx),
-                                      (cam[:, 1], vv, intr.cy, intr.fy)):
-        np.subtract(coord, center, out=out)
-        np.multiply(out, d, out=out)
-        np.divide(out, focal, out=out)
-    cam[:, 2] = d
-    del vv, uu, d, out, coord, center, focal
-    # frame.pose.transform(cam), with the translation added in place one
-    # column at a time, which is faster than broadcasting a (3,) row
-    world = frame.pose.rotate(cam)
-    del cam
-    for axis in range(3):
-        world[:, axis] += frame.pose.translation[axis]
-    world /= resolution
-    np.floor(world, out=world)
-    keys = world.astype(np.int64)
-    del world
-
-    skipped_roi = 0
-    if roi is not None:
-        keep = np.ones(keys.shape[0], dtype=bool)
-        # one key column at a time: an (N, 3) centers array costs time and peak memory
-        for axis in range(3):
-            center = voxel_center(keys[:, axis], resolution)
-            keep &= (center >= roi.min[axis]) & (center <= roi.max[axis])
-        # np.take of the kept rows is faster than a boolean mask; pixel goes
-        # first, so its old array is freed before the new keys are allocated
-        kept = np.flatnonzero(keep)
-        del keep
-        skipped_roi = int(keys.shape[0] - kept.shape[0])
-        pixel = np.take(pixel, kept)
-        keys = np.take(keys, kept, axis=0)
-        del kept
-
-    codes = pack_keys(keys)
-    del keys
-    # stable, so same-voxel pixels keep their row-major order in the sums
-    order = np.argsort(codes, kind="stable")
-    codes, pixel = codes[order], pixel[order]
-    del order
-    # codes are >= 0, so the first always starts a run, and no keys give no runs
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    codes = codes[starts]
-    # Runs are summed band by band, in the order of their first pixel. A
-    # run reads no pixel before its first, so once the runs that start in
-    # a band are summed, no row before the next band is read again.
-    by_first = np.argsort(pixel[starts])
-    lengths = np.diff(starts, append=pixel.shape[0])[by_first]
-    # pixel with its runs in first-pixel order, each run's pixels kept in order
-    ends = np.cumsum(lengths)
-    run_starts = ends - lengths
-    source = np.repeat(starts[by_first] - run_starts, lengths)
-    source += np.arange(pixel.shape[0])
-    pixel = np.take(pixel, source)
-    del starts, source
+    intr, pose = frame.intrinsics, frame.pose
+    depth = frame.depth.reshape(-1)
     rows = frame.proba.reshape(-1, frame.num_labels)
-    means = np.empty((codes.shape[0], rows.shape[1]))
-    firsts = pixel[run_starts]
+    valid = np.isfinite(depth) & (depth > 0)
+    count = int(np.count_nonzero(valid))
+    # Pose.rotate: a contiguous transpose for several points, the strided
+    # view for one, whose matrix-vector product rounds differently. A band
+    # is rotated as the whole frame would be, one valid pixel or many.
+    rotation_t = pose.rotation.T
+    if count > 1:
+        rotation_t = np.ascontiguousarray(rotation_t)
+    # the flat pixel index stands in for the probability row until the sums
+    pixel = np.empty(count, dtype=np.int64)
+    codes = np.empty(count, dtype=np.int64)
+    kept, edges = 0, []
     for start, stop in _bands(rows):
-        lo, hi = np.searchsorted(firsts, (start, stop))
+        edges.append(start)
+        at = np.flatnonzero(valid[start:stop])
+        at += start
+        vv, uu = np.divmod(at, intr.width)
+        d = np.take(depth, at)
+        cam = np.empty((at.shape[0], 3))
+        # in place, in this order: the bits of the whole-array (coord - center) * d / focal
+        for out, coord, center, focal in ((cam[:, 0], uu, intr.cx, intr.fx),
+                                          (cam[:, 1], vv, intr.cy, intr.fy)):
+            np.subtract(coord, center, out=out)
+            np.multiply(out, d, out=out)
+            np.divide(out, focal, out=out)
+        cam[:, 2] = d
+        del vv, uu, d, out, coord, center, focal
+        # pose.transform(cam), with the translation added in place one
+        # column at a time, which is faster than broadcasting a (3,) row
+        world = cam @ rotation_t
+        del cam
+        for axis in range(3):
+            world[:, axis] += pose.translation[axis]
+        world /= resolution
+        np.floor(world, out=world)
+        keys = world.astype(np.int64)
+        del world
+        if roi is not None:
+            keep = np.ones(keys.shape[0], dtype=bool)
+            # one key column at a time: an (N, 3) centers array costs time and memory
+            for axis in range(3):
+                center = voxel_center(keys[:, axis], resolution)
+                keep &= (center >= roi.min[axis]) & (center <= roi.max[axis])
+            at, keys = at[keep], keys[keep]
+        n = at.shape[0]
+        pixel[kept:kept + n] = at
+        del at
+        codes[kept:kept + n] = pack_keys(keys)
+        kept += n
+    del valid, keys
+
+    # stable, so same-voxel pixels keep their row-major order in the sums
+    order = np.argsort(codes[:kept], kind="stable")
+    codes, pixel = codes[order], pixel[order]
+    # codes are >= 0, so the first always starts a run, and no keys give no runs
+    new = np.diff(codes, prepend=-1) != 0
+    run = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    codes = codes[starts]
+    counts = np.diff(starts, append=kept)
+    del new, starts
+    # by band, then by voxel, then in row-major order: stable again
+    band = np.searchsorted(edges, pixel, side="right") - 1
+    order = np.argsort(band, kind="stable")
+    pixel, run = pixel[order], run[order]
+    ends = np.cumsum(np.bincount(band, minlength=len(edges))).tolist()
+    del order, band
+    sums = np.zeros((codes.shape[0], rows.shape[1]))
+    lo = 0
+    for (start, window), hi in zip(_band_windows(rows), ends):
         if lo < hi:
-            means[by_first[lo:hi]] = _run_means(rows, pixel[run_starts[lo]:ends[hi - 1]],
-                                                run_starts[lo:hi] - run_starts[lo])
-        _drop_pages_before(rows, stop)
-    return RegistrationResult(codes, means, skipped_depth, skipped_roi)
+            _add_runs(sums, window, pixel[lo:hi] - start, run[lo:hi])
+        lo = hi
+    sums /= counts[:, None]
+    return RegistrationResult(codes, sums, int(depth.size - count), count - kept)

@@ -4,7 +4,8 @@ Registration, update and LGRID1 follow the dict-of-vectors design the
 columnar grid replaced; ``oracle_insert_update`` is the columnar update
 as it was before the matrix grew in place. The renderer references are
 the ``(N, 3)`` slab test and the ``(N, L)`` noise model that render every
-frame on its own.
+frame on its own. ``oracle_world`` deprojects a whole frame as one ``(N, 3)``
+array, as registration did before it banded the pixels.
 The frame check sums every pixel's channels in float64, as ``SensorFrame``
 did before its float32 pass.
 """
@@ -14,17 +15,34 @@ import struct
 import numpy as np
 
 
-def oracle_register(frame, resolution, roi):
-    """Keys and mean probabilities of one frame via np.unique(axis=0) and np.add.at."""
-    intr, depth = frame.intrinsics, frame.depth
-    vv, uu = np.nonzero(np.isfinite(depth) & (depth > 0))
-    d = depth[vv, uu]
+def oracle_world(frame):
+    """Flat indices of the valid-depth pixels of one frame and their world
+    points, deprojected as one ``(N, 3)`` array."""
+    intr, depth = frame.intrinsics, frame.depth.reshape(-1)
+    pixel = np.flatnonzero(np.isfinite(depth) & (depth > 0))
+    vv, uu = np.divmod(pixel, intr.width)
+    d = depth[pixel]
     cam = np.stack([(uu - intr.cx) * d / intr.fx, (vv - intr.cy) * d / intr.fy, d], axis=1)
-    keys = np.floor(frame.pose.transform(cam) / resolution).astype(np.int64)
-    probs = frame.proba[vv, uu]
+    return pixel, frame.pose.transform(cam)
+
+
+def oracle_deproject(frame, resolution, roi):
+    """Flat pixel indices and voxel keys of the kept pixels of one frame, and
+    the pixels skipped for depth and for the roi, from :func:`oracle_world`:
+    the way ``register_frame`` deprojected before it banded the pixels."""
+    pixel, world = oracle_world(frame)
+    keys = np.floor(world / resolution).astype(np.int64)
+    keep = np.ones(pixel.shape[0], dtype=bool)
     if roi is not None:
         keep = roi.contains((keys + 0.5) * resolution)
-        keys, probs = keys[keep], probs[keep]
+    return (pixel[keep], keys[keep], frame.depth.size - pixel.size,
+            int(np.count_nonzero(~keep)))
+
+
+def oracle_register(frame, resolution, roi):
+    """Keys and mean probabilities of one frame via np.unique(axis=0) and np.add.at."""
+    pixel, keys, _, _ = oracle_deproject(frame, resolution, roi)
+    probs = frame.proba.reshape(-1, frame.num_labels)[pixel]
     unique_keys, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
                                              return_counts=True)
     sums = np.zeros((unique_keys.shape[0], probs.shape[1]))

@@ -18,7 +18,7 @@ from labelgrid.fileio import (pose_record, read_frame_records, write_depth_pgm, 
                               write_probimg)
 from labelgrid.grid import pack_keys, unpack_codes, voxel_center
 from labelgrid.registration import _STEP_ROWS
-from oracles import oracle_frame_check, oracle_register
+from oracles import oracle_deproject, oracle_frame_check, oracle_register, oracle_world
 
 E_OVER_E_PLUS_1 = 0.7310585786300049  # softmax of logits (1, 0)
 
@@ -324,9 +324,10 @@ def test_frame_check_peak_memory_per_pixel():
 
 @pytest.mark.parametrize("with_roi", [False, True])
 def test_register_frame_peak_memory_per_pixel(with_roi):
-    """The deprojection fills one (N, 3) float64 buffer in place and drops
-    each temporary once it is dead: an all-valid 320x240 frame peaks at
-    60-72 traced bytes per pixel, where one temporary per whole-array
+    """The deprojection fills one (N, 3) float64 buffer per band in place
+    and drops each temporary once it is dead: an all-valid 320x240 frame
+    of two channels, one band, peaks at 81 traced bytes per pixel (40
+    channels in 12 bands: 48), where one temporary per whole-array
     expression peaks at 133-145."""
     intr = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0, width=320, height=240)
     c, s = math.cos(0.3), math.sin(0.3)
@@ -708,6 +709,17 @@ def probimg_frame_files(tmp_path, proba):
     return tmp_path / "manifest.json", intr
 
 
+def open_probimg_frame(opener, manifest, intr, shape):
+    """The frame of :func:`probimg_frame_files` of an image of ``shape``,
+    opened by ``FrameRecord.load`` or as an ``np.memmap`` with mode ``'r'``."""
+    if opener == "FrameRecord.load":
+        return read_frame_records(manifest)[0].load()
+    path = manifest.parent / "p.probimg"
+    image = np.memmap(path, dtype="<f4", mode="r", shape=shape,
+                      offset=path.stat().st_size - math.prod(shape) * 4)
+    return make_frame(np.ones(shape[:2]), image, intr)
+
+
 class TestBands:
     """The frame check and the per-voxel means read the image band by band,
     with the results of one pass over the whole image."""
@@ -731,6 +743,62 @@ class TestBands:
         roi = Box3((0.0, 0.0, 0.0), (1.0, 1.0, 2 * len(lengths) + 0.5)) if with_roi else None
         with bands_of(band, proba):
             assert_matches_unique_oracle(voxel_run_frame(voxel, proba), roi=roi)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 3, 7, 13, 61]),
+           st.sampled_from(["many", "one in a band", "one in the frame"]), st.booleans(),
+           st.sampled_from([np.float32, np.float64]))
+    def test_register_frame_matches_unbanded_deprojection(self, seed, band, valid, with_roi,
+                                                          dtype):
+        """Random poses, intrinsics, depths with invalid pixels and rois,
+        deprojected in bands of 1, 2 or a prime number of pixel rows: codes,
+        means and both skip counts equal those of the whole-frame
+        deprojection, bit for bit, with one pixel on a voxel corner. A band
+        that holds one valid pixel in a frame of many is rotated as the
+        whole frame is, and a frame of one valid pixel keeps the
+        matrix-vector product."""
+        rng = np.random.default_rng(seed)
+        h, w = (int(n) for n in rng.integers(4, 16, size=2))
+        intr = CameraIntrinsics(fx=rng.uniform(0.5, 50.0), fy=rng.uniform(0.5, 50.0),
+                                cx=rng.uniform(0.0, w), cy=rng.uniform(0.0, h), width=w, height=h)
+        depth = rng.uniform(0.2, 5.0, size=h * w)
+        bad = rng.random(h * w) < 0.3
+        depth[bad] = rng.choice([0.0, -1.0, np.nan, np.inf], size=np.count_nonzero(bad))
+        lone = int(rng.integers(h * w))
+        if valid == "one in the frame":
+            depth[np.arange(h * w) != lone] = 0.0
+        elif valid == "one in a band":
+            first = lone - lone % band
+            depth[first:first + band] = np.nan
+        depth[lone] = rng.uniform(0.2, 5.0)
+        q = rng.normal(size=4)
+        w_, x, y, z = q / np.linalg.norm(q)
+        rotation = np.array([
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w_ * z), 2 * (x * z + w_ * y)],
+            [2 * (x * y + w_ * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w_ * x)],
+            [2 * (x * z - w_ * y), 2 * (y * z + w_ * x), 1 - 2 * (x * x + y * y)]])
+        proba = random_proba(rng, (h, w, 3), dtype, False)
+        # The translation puts the lone pixel on the voxel corner at the
+        # origin, so that a rotation rounded one ulp off moves it to key -1
+        # on some axis about half the time.
+        pixel, world = oracle_world(make_frame(depth.reshape(h, w), proba, intr,
+                                               Pose(rotation, np.zeros(3))))
+        translation = -world[np.searchsorted(pixel, lone)]
+        frame = make_frame(depth.reshape(h, w), proba, intr, Pose(rotation, translation))
+        resolution = float(rng.uniform(0.02, 0.5))
+        roi = None
+        if with_roi:
+            _, keys, _, _ = oracle_deproject(frame, resolution, None)
+            lo = np.quantile(keys, 0.25, axis=0, method="nearest")
+            hi = np.maximum(np.quantile(keys, 0.75, axis=0, method="nearest"), lo + 1)
+            roi = Box3(tuple(voxel_center(lo, resolution)), tuple(voxel_center(hi, resolution)))
+        _, _, skipped_depth, skipped_roi = oracle_deproject(frame, resolution, roi)
+        with bands_of(band, frame.proba):
+            result = assert_matches_unique_oracle(frame, resolution, roi)
+        assert (result.pixels_skipped_depth, result.pixels_skipped_roi) == (skipped_depth,
+                                                                            skipped_roi)
+        if valid == "one in the frame":
+            assert skipped_depth == h * w - 1
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), BAND_ROWS, st.sampled_from([np.float32, np.float64]),
@@ -771,20 +839,21 @@ class TestBands:
 
     def test_sums_that_take_the_float64_pass_read_each_band_once(self):
         """Channel sums 0.8e-5 off 1 send every band to the float64 pass,
-        which sums the band before the next one is read: the check drops
-        each band's pages once, in order."""
+        which sums the band before the next one is read: the check asks for
+        each band once, in order."""
         image = pushed_simplex(5, (6, 10, 40), np.float32, 0.8e-5, share=1.0)
         assert np.abs(image.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
-        stops, drop = [], registration._drop_pages_before
+        starts, windows = [], registration._band_windows
 
-        def record(rows, stop):
-            stops.append(stop)
-            drop(rows, stop)
+        def record(rows):
+            for start, band in windows(rows):
+                starts.append(start)
+                yield start, band
 
         with bands_of(7, image), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(registration, "_drop_pages_before", record)
+            patch.setattr(registration, "_band_windows", record)
             assert frame_check(image) is None
-        assert stops == [7, 14, 21, 28, 35, 42, 49, 56, 60]
+        assert starts == [0, 7, 14, 21, 28, 35, 42, 49, 56]
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
     @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
@@ -796,12 +865,7 @@ class TestBands:
         raw = rng.random((240, 320, 40))
         manifest, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
         path = tmp_path / "p.probimg"
-        if opener == "FrameRecord.load":
-            frame = read_frame_records(manifest)[0].load()
-        else:
-            image = np.memmap(path, dtype="<f4", mode="r", shape=raw.shape,
-                              offset=path.stat().st_size - raw.size * 4)
-            frame = make_frame(np.ones((240, 320)), image, intr)
+        frame = open_probimg_frame(opener, manifest, intr, raw.shape)
         bound = grid._BAND_BYTES + 2 * mmap.PAGESIZE
         assert map_rss(path) <= bound
         result = register_frame(frame, 0.01)
@@ -809,6 +873,36 @@ class TestBands:
         assert map_rss(path) <= bound
         frame.proba.sum(dtype=np.float64)
         assert map_rss(path) >= raw.size * 4
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+    @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
+    def test_a_read_only_map_keeps_at_most_one_band_resident_while_it_is_read(self, tmp_path,
+                                                                               opener):
+        """Each time the check or register_frame moves on from a band of a
+        320x240x40 PROBIMG1 frame, while it still holds that band, at most
+        one band and two pages of the file are resident. 20 cm voxels span
+        60 image rows, so a voxel's pixels lie in several bands."""
+        rng = np.random.default_rng(15)
+        raw = rng.random((240, 320, 40))
+        manifest, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
+        path = tmp_path / "p.probimg"
+        resident, bands = [], grid._bands
+
+        def record(rows, first=0):
+            for band in bands(rows, first):
+                resident.append(map_rss(path))
+                yield band
+            resident.append(map_rss(path))
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(registration, "_bands", record)
+            frame = open_probimg_frame(opener, manifest, intr, raw.shape)
+            checked = len(resident)
+            result = register_frame(frame, 0.2)
+        # 12 bands, and once more at the end
+        assert checked == 13 and len(resident) >= 2 * checked
+        assert 1 < len(result.codes) < 100
+        assert max(resident) <= grid._BAND_BYTES + 2 * mmap.PAGESIZE
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
     def test_sums_that_take_the_float64_pass_keep_at_most_one_band_resident(self, tmp_path):
@@ -826,11 +920,11 @@ class TestBands:
         assert len(register_frame(frame, 0.01).codes) > 1000
         assert map_rss(tmp_path / "p.probimg") <= bound
 
-    @pytest.mark.parametrize("kind", ["copy-on-write map", "heap array"])
+    @pytest.mark.parametrize("kind", ["copy-on-write map", "np.memmap mode c", "heap array"])
     def test_writable_images_keep_their_values(self, tmp_path, kind):
-        """An image written after mapping it copy-on-write, where dropping
-        pages would bring the file's values back, and a heap array register
-        as the oracle does and hold their values afterwards."""
+        """An image written after mapping it copy-on-write, where reading
+        the file would bring its values back, and a heap array register as
+        the oracle does and hold their values afterwards."""
         rng = np.random.default_rng(14)
         shape = (30, 40, 4)
         on_disk, written = (random_proba(rng, shape, np.float32, negative_zero=False)
@@ -842,6 +936,9 @@ class TestBands:
                 mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
             image = np.frombuffer(mapped, "<f4", count=on_disk.size,
                                   offset=len(mapped) - on_disk.nbytes).reshape(shape)
+        elif kind == "np.memmap mode c":
+            image = np.memmap(path, dtype="<f4", mode="c", shape=shape,
+                              offset=path.stat().st_size - on_disk.nbytes)
         else:
             image = np.empty(shape, dtype=np.float32)
         image[...] = written
