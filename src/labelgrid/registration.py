@@ -68,18 +68,18 @@ class SensorFrame:
     scores are turned into probabilities with :func:`softmax_image` before
     a frame is built.
 
-    The check reads the image one band of about 1 MiB at a time, and so
-    does :func:`register_frame`. A band whose channel sums in the image's
-    dtype (float32 for PROBIMG1) cannot decide is summed again in float64
-    before the next band is read. When the image views a read-only
-    ``np.memmap`` of a file (as :func:`~labelgrid.fileio.read_probimg`
-    returns, or one opened with mode ``'r'``), each band is read through
-    a map of its own bytes of the file, closed before the next band is
-    mapped, so at most one band of the image is resident at a time. Any
-    other image is read in place. The bands are mapped by file name, so a
-    file replaced while the frame lives can feed its new bytes to
-    :func:`register_frame`, and one truncated can end the process with
-    SIGBUS.
+    The check reads every band of about 1 MiB of the image, one at a
+    time; :func:`register_frame` reads only the bands that hold kept
+    pixels. A band whose channel sums in the image's dtype (float32 for
+    PROBIMG1) cannot decide is summed again in float64 before the next
+    band is read. When the image views a read-only ``np.memmap`` of a file
+    (as :func:`~labelgrid.fileio.read_probimg` returns, or one opened with
+    mode ``'r'``), each band is read through a map of its own bytes of the
+    file, closed before the next band is mapped, so at most one band of
+    the image is resident at a time. Any other image is read in place. The
+    bands are mapped by file name, so a file replaced while the frame lives
+    can feed its new bytes to :func:`register_frame`, and one truncated
+    can end the process with SIGBUS.
     """
 
     timestamp: float
@@ -116,7 +116,8 @@ class SensorFrame:
         labels = image.shape[2]
         rows = image.reshape(-1, labels)
         eps, worst = float(np.finfo(image.dtype).eps), 0.0
-        for _, band in _band_windows(rows):
+        for start, stop in _bands(rows):
+            band = _band(rows, start, stop)
             # written so that a NaN entry, which fails every comparison, is rejected
             if not (band.min() >= 0.0 and band.max() <= 1.0):
                 raise ValueError("probability image entries must lie in [0, 1]")
@@ -159,47 +160,39 @@ class RegistrationResult:
         return [(tuple(k), row) for k, row in zip(unpack_codes(self.codes).tolist(), self.means)]
 
 
-# runs longer than this finish with one np.add.accumulate, so the row
-# loop in _add_runs takes at most this many steps per call, one call per band
+# runs longer than this finish with one np.add.accumulate, so the row loop in
+# _add_runs takes at most this many steps per call, one call per band read
 _STEP_ROWS = 64
 
 
-def _window(path, offset: int, dtype: np.dtype, shape: tuple[int, int]) -> np.ndarray:
-    """A read-only array of ``shape`` at byte ``offset`` of the file, in a
-    map of its own, which closes when the array is freed."""
-    start = offset - offset % mmap.ALLOCATIONGRANULARITY
-    size = offset - start + shape[0] * shape[1] * dtype.itemsize
-    with open(path, "rb") as f:
-        window = mmap.mmap(f.fileno(), size, access=mmap.ACCESS_READ, offset=start)
-    return np.frombuffer(window, dtype, shape[0] * shape[1], offset - start).reshape(shape)
+def _band(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start:stop`` of the 2-D array ``rows``.
 
-
-def _band_windows(rows: np.ndarray):
-    """``(start, band)`` for each band of the 2-D array ``rows``.
-
-    A C-contiguous view of a read-only ``np.memmap`` of a named file is
-    read through a new map of each band's bytes alone, which closes once
-    the caller lets go of the band, as a loop does when it takes the next
-    one. A fault maps no page outside its map, however large the
-    page-cache folio that holds it, so at most the band in hand is
-    resident. Any other array's bands are views of it.
+    When ``rows`` is a C-contiguous view of a read-only ``np.memmap`` of a
+    named file, the band is read through a new map of its bytes alone,
+    which closes when the band is freed. A fault maps no page outside its
+    map, however large the page-cache folio that holds it, so only the
+    bands in hand are resident. Any other array's band is a view of it.
     """
     owner = rows
     while isinstance(owner.base, np.ndarray):
         owner = owner.base
-    mapped = (isinstance(owner, np.memmap) and owner.mode == "r" and owner.filename is not None
-              and rows.flags.c_contiguous)
-    for start, stop in _bands(rows):
-        if mapped:
-            offset = owner.offset + rows.ctypes.data - owner.ctypes.data + start * rows.strides[0]
-            yield start, _window(owner.filename, offset, rows.dtype, (stop - start, rows.shape[1]))
-        else:
-            yield start, rows[start:stop]
+    if not (isinstance(owner, np.memmap) and owner.mode == "r" and owner.filename is not None
+            and rows.flags.c_contiguous):
+        return rows[start:stop]
+    offset = owner.offset + rows.ctypes.data - owner.ctypes.data + start * rows.strides[0]
+    first = offset - offset % mmap.ALLOCATIONGRANULARITY
+    count = (stop - start) * rows.shape[1]
+    with open(owner.filename, "rb") as f:
+        window = mmap.mmap(f.fileno(), offset - first + count * rows.itemsize,
+                           access=mmap.ACCESS_READ, offset=first)
+    return np.frombuffer(window, rows.dtype, count, offset - first).reshape(-1, rows.shape[1])
 
 
 def _add_runs(sums: np.ndarray, rows: np.ndarray, pixel: np.ndarray, run: np.ndarray) -> None:
-    """Add the float64 rows ``rows[pixel]`` onto ``sums[run]``, for a sorted
-    ``run`` of indices >= 0; a run is the pixels of one index.
+    """Add the float64 rows ``rows[pixel]`` onto ``sums[run]``, for indices
+    ``run`` >= 0 in any order; a run is the pixels of one index, in the
+    order they are given.
 
     Each run's rows are added one at a time, in order, onto its running
     sum, as a loop over them would: rows are widened exactly from float32,
@@ -208,6 +201,10 @@ def _add_runs(sums: np.ndarray, rows: np.ndarray, pixel: np.ndarray, run: np.nda
     of them. ``np.add.reduceat`` is not used: it regroups runs of 8 or more
     rows.
     """
+    # stable, so each run keeps its pixels' order
+    order = np.argsort(run, kind="stable")
+    pixel, run = pixel[order], run[order]
+    del order
     starts = np.flatnonzero(np.diff(run, prepend=-1))
     lengths = np.diff(starts, append=pixel.shape[0])
     by_length = np.argsort(-lengths, kind="stable")
@@ -241,9 +238,10 @@ def register_frame(frame: SensorFrame, resolution: float,
     row-major order, then divides by the pixel count. A kept voxel key
     outside [-2**20, 2**20) on any axis raises ``ValueError``.
 
-    Pixels are deprojected and binned one band at a time. The probability
-    image is then read one band at a time, as the :class:`SensorFrame`
-    check reads it, and each voxel's sum is carried from band to band.
+    Pixels are deprojected and binned one band at a time, in row-major
+    order. The probability image is then read one band at a time, as the
+    :class:`SensorFrame` check reads it, skipping the bands that hold no
+    kept pixel, and each voxel's sum is carried from band to band.
     """
     positive_finite("resolution", resolution)
     intr, pose = frame.intrinsics, frame.pose
@@ -257,12 +255,11 @@ def register_frame(frame: SensorFrame, resolution: float,
     rotation_t = pose.rotation.T
     if count > 1:
         rotation_t = np.ascontiguousarray(rotation_t)
-    # the flat pixel index stands in for the probability row until the sums
+    # a pixel's row within its band stands in for its probability row until the sums
     pixel = np.empty(count, dtype=np.int64)
     codes = np.empty(count, dtype=np.int64)
-    kept, edges = 0, []
+    kept, ends = 0, []
     for start, stop in _bands(rows):
-        edges.append(start)
         at = np.flatnonzero(valid[start:stop])
         at += start
         vv, uu = np.divmod(at, intr.width)
@@ -294,33 +291,32 @@ def register_frame(frame: SensorFrame, resolution: float,
                 keep &= (center >= roi.min[axis]) & (center <= roi.max[axis])
             at, keys = at[keep], keys[keep]
         n = at.shape[0]
-        pixel[kept:kept + n] = at
+        np.subtract(at, start, out=pixel[kept:kept + n])
         del at
         codes[kept:kept + n] = pack_keys(keys)
         kept += n
+        ends.append(kept)
     del valid, keys
+    # the roi may have cut most pixels: hold only the kept ones from here on
+    pixel = pixel[:kept].copy()
 
-    # stable, so same-voxel pixels keep their row-major order in the sums
-    order = np.argsort(codes[:kept], kind="stable")
-    codes, pixel = codes[order], pixel[order]
+    # run is each pixel's voxel index; the pixels stay in row-major order
+    order = np.argsort(codes[:kept])
+    codes = codes[order]
     # codes are >= 0, so the first always starts a run, and no keys give no runs
     new = np.diff(codes, prepend=-1) != 0
-    run = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    codes = codes[starts]
-    counts = np.diff(starts, append=kept)
-    del new, starts
-    # by band, then by voxel, then in row-major order: stable again
-    band = np.searchsorted(edges, pixel, side="right") - 1
-    order = np.argsort(band, kind="stable")
-    pixel, run = pixel[order], run[order]
-    ends = np.cumsum(np.bincount(band, minlength=len(edges))).tolist()
-    del order, band
+    index = np.cumsum(new)
+    index -= 1
+    run = np.empty_like(order)
+    run[order] = index
+    counts = np.bincount(index)
+    codes = codes[new]
+    del order, new, index
     sums = np.zeros((codes.shape[0], rows.shape[1]))
     lo = 0
-    for (start, window), hi in zip(_band_windows(rows), ends):
+    for (start, stop), hi in zip(_bands(rows), ends):
         if lo < hi:
-            _add_runs(sums, window, pixel[lo:hi] - start, run[lo:hi])
+            _add_runs(sums, _band(rows, start, stop), pixel[lo:hi], run[lo:hi])
         lo = hi
     sums /= counts[:, None]
     return RegistrationResult(codes, sums, int(depth.size - count), count - kept)

@@ -322,18 +322,21 @@ def test_frame_check_peak_memory_per_pixel():
     assert peak / depth.size < 8
 
 
+@pytest.mark.parametrize("channels, bound", [(2, 100), (40, 64)])
 @pytest.mark.parametrize("with_roi", [False, True])
-def test_register_frame_peak_memory_per_pixel(with_roi):
+def test_register_frame_peak_memory_per_pixel(with_roi, channels, bound):
     """The deprojection fills one (N, 3) float64 buffer per band in place
-    and drops each temporary once it is dead: an all-valid 320x240 frame
-    of two channels, one band, peaks at 81 traced bytes per pixel (40
-    channels in 12 bands: 48), where one temporary per whole-array
-    expression peaks at 133-145."""
+    and drops each temporary once it is dead, and the voxel runs keep one
+    int64 index per pixel: an all-valid 320x240 frame peaks at 81 traced
+    bytes per pixel with two channels in one band (82 with the roi), and at
+    41 with 40 channels in 12 bands (25 with the roi), where whole-frame
+    deprojection peaked at 72 and one temporary per whole-array expression
+    at 133-145."""
     intr = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0, width=320, height=240)
     c, s = math.cos(0.3), math.sin(0.3)
     pose = Pose(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]), np.array([0.1, 0.2, 0.3]))
-    frame = make_frame(np.full((240, 320), 1.0), np.full((240, 320, 2), 0.5, dtype=np.float32),
-                       intr, pose)
+    frame = make_frame(np.full((240, 320), 1.0),
+                       np.full((240, 320, channels), 1.0 / channels, dtype=np.float32), intr, pose)
     roi = Box3((-1.0, -1.0, -1.0), (0.5, 1.0, 2.0)) if with_roi else None
     register_frame(frame, 0.05, roi)
     tracemalloc.start()
@@ -344,7 +347,7 @@ def test_register_frame_peak_memory_per_pixel(with_roi):
         tracemalloc.stop()
     assert result.pixels_skipped_depth == 0 and len(result.codes) > 0
     assert with_roi == (result.pixels_skipped_roi > 0)
-    assert peak / frame.depth.size < 100
+    assert peak / frame.depth.size < bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -843,17 +846,50 @@ class TestBands:
         each band once, in order."""
         image = pushed_simplex(5, (6, 10, 40), np.float32, 0.8e-5, share=1.0)
         assert np.abs(image.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
-        starts, windows = [], registration._band_windows
+        starts, band = [], registration._band
 
-        def record(rows):
-            for start, band in windows(rows):
-                starts.append(start)
-                yield start, band
+        def record(rows, start, stop):
+            starts.append(start)
+            return band(rows, start, stop)
 
         with bands_of(7, image), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(registration, "_band_windows", record)
+            patch.setattr(registration, "_band", record)
             assert frame_check(image) is None
         assert starts == [0, 7, 14, 21, 28, 35, 42, 49, 56]
+
+    @pytest.mark.parametrize("with_roi", [False, True])
+    def test_register_frame_maps_only_the_bands_that_hold_kept_pixels(self, tmp_path, with_roi):
+        """A 12x10 read-only map in six bands of two image rows: rows 2-5
+        have no valid depth and the roi, when set, cuts rows 10-11, so
+        register_frame maps the bands of the kept pixels alone, each once
+        and in order, and its means equal the oracle's."""
+        rng = np.random.default_rng(16)
+        proba = random_proba(rng, (12, 10, 4), np.float32, negative_zero=False)
+        path = tmp_path / "p.probimg"
+        write_probimg(path, proba)
+        data = path.stat().st_size - proba.nbytes
+        image = np.memmap(path, dtype="<f4", mode="r", shape=proba.shape, offset=data)
+        depth = np.ones((12, 10))
+        depth[2:6] = 0.0
+        # world y is the image row, so a voxel's center is its row + 0.5
+        intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=12)
+        roi = Box3((-1e3, -1.0, 0.0), (1e3, 9.9, 2.0)) if with_roi else None
+        ends, mmap_ = [], mmap.mmap
+
+        def record(fileno, length, *args, offset=0, **kwargs):
+            ends.append(offset + length)
+            return mmap_(fileno, length, *args, offset=offset, **kwargs)
+
+        with bands_of(20, proba):
+            frame = make_frame(depth, image, intr)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(mmap, "mmap", record)
+                register_frame(frame, 1.0, roi)
+            assert_matches_unique_oracle(frame, 1.0, roi)
+        band_bytes = 20 * 4 * 4
+        assert [(end - data) // band_bytes - 1 for end in ends] == (
+            [0, 3, 4] if with_roi else [0, 3, 4, 5])
+        assert all((end - data) % band_bytes == 0 for end in ends)
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
     @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
@@ -878,15 +914,16 @@ class TestBands:
     @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
     def test_a_read_only_map_keeps_at_most_one_band_resident_while_it_is_read(self, tmp_path,
                                                                                opener):
-        """Each time the check or register_frame moves on from a band of a
-        320x240x40 PROBIMG1 frame, while it still holds that band, at most
-        one band and two pages of the file are resident. 20 cm voxels span
-        60 image rows, so a voxel's pixels lie in several bands."""
+        """Each time the check moves on from a band of a 320x240x40
+        PROBIMG1 frame, and each time register_frame has added a band's
+        rows to the voxel sums, while it still holds that band, at most one
+        band and two pages of the file are resident. 20 cm voxels span 60
+        image rows, so a voxel's pixels lie in several bands."""
         rng = np.random.default_rng(15)
         raw = rng.random((240, 320, 40))
         manifest, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
         path = tmp_path / "p.probimg"
-        resident, bands = [], grid._bands
+        resident, summed, bands, add_runs = [], [], grid._bands, registration._add_runs
 
         def record(rows, first=0):
             for band in bands(rows, first):
@@ -894,15 +931,20 @@ class TestBands:
                 yield band
             resident.append(map_rss(path))
 
+        def record_sums(sums, rows, pixel, run):
+            add_runs(sums, rows, pixel, run)
+            summed.append(map_rss(path))
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(registration, "_bands", record)
+            patch.setattr(registration, "_add_runs", record_sums)
             frame = open_probimg_frame(opener, manifest, intr, raw.shape)
             checked = len(resident)
             result = register_frame(frame, 0.2)
         # 12 bands, and once more at the end
-        assert checked == 13 and len(resident) >= 2 * checked
+        assert checked == 13 and len(resident) >= 2 * checked and len(summed) == 12
         assert 1 < len(result.codes) < 100
-        assert max(resident) <= grid._BAND_BYTES + 2 * mmap.PAGESIZE
+        assert max(resident + summed) <= grid._BAND_BYTES + 2 * mmap.PAGESIZE
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
     def test_sums_that_take_the_float64_pass_keep_at_most_one_band_resident(self, tmp_path):
