@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import Box3, Pose
 from .grid import LabelOccupancyGrid, pack_keys, unpack_codes
-from .registration import CameraIntrinsics, SensorFrame, softmax_image
+from .registration import CameraIntrinsics, FileImage, SensorFrame, softmax_image
 
 LGRID_MAGIC = b"LGRID1\n"
 # magic, resolution, label count, clamp, roi flag; then :func:`_lgrid_tail`
@@ -106,19 +106,9 @@ def write_probimg(path, values) -> None:
         f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def read_probimg(path) -> np.ndarray:
-    """A PROBIMG1 image as a read-only ``(H, W, C)`` float32 ``np.memmap``.
-
-    The payload is memory-mapped read-only, not copied: it stays mapped,
-    holding one file descriptor, while the array or the frame that holds
-    it lives, and the file needs only read permission. A
-    :class:`~labelgrid.registration.SensorFrame` of it reads it one band
-    at a time, each band through a map of its own, opened by the file's
-    name and closed before the next band is read. So a file replaced while
-    its frame lives can feed the new file's bytes to registration, and
-    truncating the file while it is mapped can end the process with
-    SIGBUS, not a ``ValueError`` (so ``fuse`` does not exit with code 2).
-    """
+def read_probimg(path) -> FileImage:
+    """A PROBIMG1 image as an ``(H, W, C)`` float32 :class:`~labelgrid.registration.FileImage`;
+    only the header is read here, and ``np.asarray`` of the image reads the payload."""
     with open(path, "rb") as f:
         line = f.readline(_PROBIMG_HEADER_MAX)
         if not line.endswith(b"\n"):
@@ -131,8 +121,7 @@ def read_probimg(path) -> np.ndarray:
         size, expected = os.fstat(f.fileno()).st_size - len(line), h * w * c * 4
         if size != expected:
             raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")
-        # the array holds the only reference to the mapping, which closes with it
-        return np.memmap(f, dtype="<f4", mode="r", offset=len(line), shape=(h, w, c))
+        return FileImage(path, os.dup(f.fileno()), len(line), (h, w, c))
 
 
 # --- grid snapshots (LGRID1) ---------------------------------------------
@@ -411,6 +400,9 @@ def load_frame(record: dict, base_dir) -> SensorFrame:
         return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr,
                            proba=proba)
     except ValueError as exc:
+        # a short read of the image names it already
+        if str(exc).startswith(f"{image_path}: "):
+            raise
         raise ValueError(f"{image_path}: {exc}") from None
 
 

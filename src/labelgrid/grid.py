@@ -112,11 +112,12 @@ def _sorted_codes(codes) -> np.ndarray:
 _BAND_BYTES = 1 << 20
 
 
-def _bands(rows: np.ndarray, first: int = 0):
-    """``(start, stop)`` of each band of the 2-D array ``rows``, from row ``first`` on."""
-    step = max(1, _BAND_BYTES // (rows.shape[1] * rows.itemsize))
-    for start in range(first, rows.shape[0], step):
-        yield start, min(start + step, rows.shape[0])
+def _bands(rows, first: int = 0):
+    """``(start, stop)`` of each band of ``rows`` (an image's pixels), from row ``first`` on."""
+    step = max(1, _BAND_BYTES // (rows.shape[-1] * rows.dtype.itemsize))
+    count = math.prod(rows.shape[:-1])
+    for start in range(first, count, step):
+        yield start, min(start + step, count)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

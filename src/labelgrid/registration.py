@@ -13,7 +13,8 @@ the roi; the float centers are tested one axis at a time.
 from __future__ import annotations
 
 import math
-import mmap
+import os
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +59,35 @@ def softmax_image(logits) -> np.ndarray:
     return e / e.sum(axis=2, keepdims=True)
 
 
+class FileImage:
+    """An ``(H, W, C)`` float32 image that :func:`~labelgrid.fileio.read_probimg` opened, read
+    on demand through its own descriptor, closed when the image is freed; ``np.asarray`` reads
+    it whole. A short read, from a file truncated since, raises ``ValueError`` naming the file."""
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path, fd: int, offset: int, shape: tuple[int, int, int]) -> None:
+        self.path, self.offset, self.shape, self._fd = path, offset, shape, fd
+        weakref.finalize(self, os.close, fd)
+
+    def read(self, out: np.ndarray, start: int) -> np.ndarray:
+        """``out``, C-contiguous rows, read from row ``start`` on in as many reads as needed."""
+        view = out.reshape(-1).view(np.uint8)
+        offset = self.offset + start * self.shape[2] * self.dtype.itemsize
+        while view.size:
+            got = os.preadv(self._fd, [view], offset)
+            if got == 0:
+                raise ValueError(f"{self.path}: truncated at byte {offset}")
+            view, offset = view[got:], offset + got
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.read(np.empty(self.shape, self.dtype), 0)
+
+    def __reduce__(self):
+        raise TypeError(f"{self.path}: an image read through a descriptor cannot be copied")
+
+
 @dataclass(eq=False)
 class SensorFrame:
     """One measurement: depth + per-pixel class probabilities + pose.
@@ -72,21 +102,14 @@ class SensorFrame:
     time; :func:`register_frame` reads only the bands that hold kept
     pixels. A band whose channel sums in the image's dtype (float32 for
     PROBIMG1) cannot decide is summed again in float64 before the next
-    band is read. When the image views a read-only ``np.memmap`` of a file
-    (as :func:`~labelgrid.fileio.read_probimg` returns, or one opened with
-    mode ``'r'``), each band is read through a map of its own bytes of the
-    file, closed before the next band is mapped, so at most one band of
-    the image is resident at a time. Any other image is read in place. The
-    bands are mapped by file name, so a file replaced while the frame lives
-    can feed its new bytes to :func:`register_frame`, and one truncated
-    can end the process with SIGBUS.
+    band is read. A :class:`FileImage` is read into one band's buffer per loop.
     """
 
     timestamp: float
     depth: np.ndarray
     pose: Pose
     intrinsics: CameraIntrinsics
-    proba: np.ndarray
+    proba: np.ndarray | FileImage
 
     def __post_init__(self) -> None:
         # a NaN timestamp would make the gate treat every later frame as moving
@@ -96,10 +119,10 @@ class SensorFrame:
         shape = (self.intrinsics.height, self.intrinsics.width)
         if self.depth.shape != shape:
             raise ValueError(f"depth shape {self.depth.shape} does not match intrinsics {shape}")
-        image = np.asarray(self.proba)
-        if image.dtype != np.float32:
+        image = self.proba if isinstance(self.proba, FileImage) else np.asarray(self.proba)
+        if image.dtype not in (np.float32, FileImage.dtype):
             image = image.astype(float, copy=False)
-        if image.ndim != 3 or image.shape[:2] != shape:
+        if len(image.shape) != 3 or image.shape[:2] != shape:
             raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")
         if image.shape[2] < 2:
             raise ValueError("channel image needs at least two classes")
@@ -113,17 +136,16 @@ class SensorFrame:
         # it exceeds 1e-5. On a 2-core Xeon VM, einsum took 1.0 ms on a
         # 320x240x40 float32 image and a BLAS row sum 0.6 ms, but CLI fuse
         # of the transit-320 benchmark stream peaked 0.4 MB higher with BLAS.
-        labels = image.shape[2]
-        rows = image.reshape(-1, labels)
+        read = _band_reader(image)
         eps, worst = float(np.finfo(image.dtype).eps), 0.0
-        for start, stop in _bands(rows):
-            band = _band(rows, start, stop)
+        for start, stop in _bands(image):
+            band = read(start, stop)
             # written so that a NaN entry, which fails every comparison, is rejected
             if not (band.min() >= 0.0 and band.max() <= 1.0):
                 raise ValueError("probability image entries must lie in [0, 1]")
             fast = np.einsum("ij->i", band)
             low, high = float(fast.min()), float(fast.max())
-            if max(1.0 - low, high - 1.0) + labels * eps * max(1.0, high) + 1e-12 > 1e-5:
+            if max(1.0 - low, high - 1.0) + image.shape[2] * eps * max(1.0, high) + 1e-12 > 1e-5:
                 sums = band.sum(axis=1, dtype=np.float64)
                 worst = max(worst, float(np.abs(sums - 1.0).max()))
         if worst > 1e-5:
@@ -165,28 +187,14 @@ class RegistrationResult:
 _STEP_ROWS = 64
 
 
-def _band(rows: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Rows ``start:stop`` of the 2-D array ``rows``.
-
-    When ``rows`` is a C-contiguous view of a read-only ``np.memmap`` of a
-    named file, the band is read through a new map of its bytes alone,
-    which closes when the band is freed. A fault maps no page outside its
-    map, however large the page-cache folio that holds it, so only the
-    bands in hand are resident. Any other array's band is a view of it.
-    """
-    owner = rows
-    while isinstance(owner.base, np.ndarray):
-        owner = owner.base
-    if not (isinstance(owner, np.memmap) and owner.mode == "r" and owner.filename is not None
-            and rows.flags.c_contiguous):
-        return rows[start:stop]
-    offset = owner.offset + rows.ctypes.data - owner.ctypes.data + start * rows.strides[0]
-    first = offset - offset % mmap.ALLOCATIONGRANULARITY
-    count = (stop - start) * rows.shape[1]
-    with open(owner.filename, "rb") as f:
-        window = mmap.mmap(f.fileno(), offset - first + count * rows.itemsize,
-                           access=mmap.ACCESS_READ, offset=first)
-    return np.frombuffer(window, rows.dtype, count, offset - first).reshape(-1, rows.shape[1])
+def _band_reader(image):
+    """A reader of pixel rows ``start:stop``: views of an array, or reads into one band buffer."""
+    if not isinstance(image, FileImage):
+        rows = image.reshape(-1, image.shape[2])
+        return lambda start, stop: rows[start:stop]
+    start, stop = next(_bands(image))
+    buffer = np.empty((stop - start, image.shape[2]), image.dtype)
+    return lambda start, stop: image.read(buffer[:stop - start], start)
 
 
 def _add_runs(sums: np.ndarray, rows: np.ndarray, pixel: np.ndarray, run: np.ndarray) -> None:
@@ -246,7 +254,6 @@ def register_frame(frame: SensorFrame, resolution: float,
     positive_finite("resolution", resolution)
     intr, pose = frame.intrinsics, frame.pose
     depth = frame.depth.reshape(-1)
-    rows = frame.proba.reshape(-1, frame.num_labels)
     valid = np.isfinite(depth) & (depth > 0)
     count = int(np.count_nonzero(valid))
     # Pose.rotate: a contiguous transpose for several points, the strided
@@ -259,7 +266,7 @@ def register_frame(frame: SensorFrame, resolution: float,
     pixel = np.empty(count, dtype=np.int64)
     codes = np.empty(count, dtype=np.int64)
     kept, ends = 0, []
-    for start, stop in _bands(rows):
+    for start, stop in _bands(frame.proba):
         at = np.flatnonzero(valid[start:stop])
         at += start
         vv, uu = np.divmod(at, intr.width)
@@ -312,11 +319,11 @@ def register_frame(frame: SensorFrame, resolution: float,
     counts = np.bincount(index)
     codes = codes[new]
     del order, new, index
-    sums = np.zeros((codes.shape[0], rows.shape[1]))
-    lo = 0
-    for (start, stop), hi in zip(_bands(rows), ends):
+    sums = np.zeros((codes.shape[0], frame.num_labels))
+    read, lo = _band_reader(frame.proba), 0
+    for (start, stop), hi in zip(_bands(frame.proba), ends):
         if lo < hi:
-            _add_runs(sums, _band(rows, start, stop), pixel[lo:hi], run[lo:hi])
+            _add_runs(sums, read(start, stop), pixel[lo:hi], run[lo:hi])
         lo = hi
     sums /= counts[:, None]
     return RegistrationResult(codes, sums, int(depth.size - count), count - kept)

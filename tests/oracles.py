@@ -42,7 +42,7 @@ def oracle_deproject(frame, resolution, roi):
 def oracle_register(frame, resolution, roi):
     """Keys and mean probabilities of one frame via np.unique(axis=0) and np.add.at."""
     pixel, keys, _, _ = oracle_deproject(frame, resolution, roi)
-    probs = frame.proba.reshape(-1, frame.num_labels)[pixel]
+    probs = np.asarray(frame.proba).reshape(-1, frame.num_labels)[pixel]
     unique_keys, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
                                              return_counts=True)
     sums = np.zeros((unique_keys.shape[0], probs.shape[1]))
@@ -126,7 +126,7 @@ def oracle_eager_fuse(manifest, grid, gate, p_min) -> list:
 
     records = fileio.read_manifest(manifest)
     frames = [fileio.load_frame(r, manifest.parent) for r in records]
-    frames = [dataclasses.replace(f, proba=f.proba.astype(float)) for f in frames]
+    frames = [dataclasses.replace(f, proba=np.asarray(f.proba, dtype=float)) for f in frames]
     snapshots = []
     fuse_stream(grid, frames, gate, p_min=p_min,
                 on_frame=lambda index, frame, fused: snapshots.append(fileio.grid_to_bytes(grid)))

@@ -15,7 +15,7 @@ import pytest
 
 import labelgrid
 from conftest import TARGET_BOX, TARGET_LABEL, write_cli_inputs
-from labelgrid import Box3, fileio, look_at
+from labelgrid import Box3, fileio, fusion, look_at
 from labelgrid.cli import main
 from labelgrid.fileio import load_grid, read_manifest, save_grid, write_manifest
 from labelgrid.grid import LabelOccupancyGrid, unpack_codes, voxel_center
@@ -351,13 +351,33 @@ class TestStreamingFuse:
     def test_nan_probability_in_a_fused_frame_exits_2_naming_the_file(self, sim_run,
                                                                        tmp_path, capsys):
         path = sim_run["stream"] / read_manifest(sim_run["manifest"])[-1]["proba_file"]
-        proba = fileio.read_probimg(path).copy()
+        proba = np.asarray(fileio.read_probimg(path))
         proba[0, 0, 5] = np.nan
         fileio.write_probimg(path, proba)
         code, _, err = run_cli(capsys, "fuse", sim_run["manifest"],
                                "--out", tmp_path / "grid.lgrid")
         assert code == 2
         assert f"{path}: probability image entries must lie in [0, 1]" in err
+
+    def test_an_image_truncated_before_registration_exits_2_naming_the_file(self, sim_run,
+                                                                           tmp_path, capsys):
+        """The first fused frame's image passes its check, then is cut to
+        half before it is registered: fuse exits 2, naming the file once."""
+        # the default gate fuses from the second still frame on
+        path = sim_run["stream"] / read_manifest(sim_run["manifest"])[1]["proba_file"]
+        register_frame = fusion.register_frame
+
+        def truncating(frame, *args):
+            os.truncate(path, path.stat().st_size // 2)
+            return register_frame(frame, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fusion, "register_frame", truncating)
+            code, _, err = run_cli(capsys, "fuse", sim_run["manifest"],
+                                   "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert err.startswith(f"error: {path}: truncated at byte ") and err.count(str(path)) == 1
+        assert not (tmp_path / "grid.lgrid").exists()
 
     def test_label_count_mismatch_exits_2_naming_the_frame(self, sim_run, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,

@@ -106,7 +106,10 @@ class TestProbimg:
         write_probimg(path, np.full((2, 3, 4), 0.25))
         assert read_probimg(path).dtype == np.float32
 
-    def test_payload_is_mapped_not_copied(self, tmp_path):
+    def test_payload_is_not_read_at_open(self, tmp_path):
+        """Opening takes no room for the payload, and a payload written in
+        place after opening is the one read; the array read is the
+        caller's own, and writing it leaves the file as it was."""
         path = tmp_path / "p.probimg"
         write_probimg(path, np.random.default_rng(4).random((64, 64, 40)))
         payload = 64 * 64 * 40 * 4
@@ -119,10 +122,15 @@ class TestProbimg:
             tracemalloc.stop()
         assert grown < payload // 100
         assert image.dtype == np.float32 and image.shape == (64, 64, 40)
-        assert not image.flags.writeable
-        raw = path.read_bytes()
-        offset = raw.index(b"\n") + 1
-        assert np.array_equal(image.ravel(), np.frombuffer(raw, dtype="<f4", offset=offset))
+        written = np.random.default_rng(5).random((64, 64, 40)).astype("<f4")
+        offset = path.read_bytes().index(b"\n") + 1
+        with open(path, "r+b") as f:
+            f.seek(offset)
+            f.write(written.tobytes())
+        array = np.asarray(image)
+        assert np.array_equal(array, written)
+        array[...] = 0.0
+        assert np.array_equal(np.asarray(image), written)
 
     def test_header_read_is_bounded(self, tmp_path):
         """A large file with no newline fails without being read whole."""
@@ -155,10 +163,10 @@ class TestProbimg:
 
 
 def read_or_error(reader, path):
-    """The array the reader returns, or the message of the ValueError it
-    raises; any other exception fails the test."""
+    """The array of the image the reader returns, or the message of the
+    ValueError it raises; any other exception fails the test."""
     try:
-        return reader(path)
+        return np.asarray(reader(path))
     except ValueError as exc:
         return str(exc)
 

@@ -1,10 +1,14 @@
 """Registration: softmax, pinhole deprojection, frame-to-voxel binning."""
 
 import contextlib
+import copy
 import math
 import mmap
 import os
+import pickle
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +17,11 @@ from hypothesis import strategies as st
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, register_frame,
                        softmax_image)
-from labelgrid import grid, registration
-from labelgrid.fileio import (pose_record, read_frame_records, write_depth_pgm, write_manifest,
-                              write_probimg)
+from labelgrid import LabelOccupancyGrid, fileio, fuse_stream, grid, registration
+from labelgrid.fileio import (pose_record, read_frame_records, read_manifest, read_probimg,
+                              write_depth_pgm, write_manifest, write_probimg)
 from labelgrid.grid import pack_keys, unpack_codes, voxel_center
-from labelgrid.registration import _STEP_ROWS
+from labelgrid.registration import _STEP_ROWS, FileImage
 from oracles import oracle_deproject, oracle_frame_check, oracle_register, oracle_world
 
 E_OVER_E_PLUS_1 = 0.7310585786300049  # softmax of logits (1, 0)
@@ -684,19 +688,14 @@ def bands_of(rows, image):
         yield
 
 
-def map_rss(path):
-    """Resident bytes of this process's maps of ``path``, from
-    /proc/self/smaps, or ``None`` when the file is not mapped."""
-    resident, inside, found = 0, False, False
-    with open("/proc/self/smaps") as smaps:
-        for line in smaps:
-            fields = line.split()
-            if not fields[0].endswith(":"):
-                inside = " ".join(fields[5:]) == str(path)
-                found |= inside
-            elif inside and fields[0] == "Rss:":
-                resident += int(fields[1]) * 1024
-    return resident if found else None
+def traced(run):
+    """``run()`` and the traced peak above the traced size when it started."""
+    tracemalloc.start()
+    try:
+        value = run()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def probimg_frame_files(tmp_path, proba):
@@ -710,17 +709,6 @@ def probimg_frame_files(tmp_path, proba):
         "depth_file": "d.pgm", "proba_file": "p.probimg", "timestamp": 0.0,
         "pose": pose_record(Pose.identity(), intr, 0.0)}])
     return tmp_path / "manifest.json", intr
-
-
-def open_probimg_frame(opener, manifest, intr, shape):
-    """The frame of :func:`probimg_frame_files` of an image of ``shape``,
-    opened by ``FrameRecord.load`` or as an ``np.memmap`` with mode ``'r'``."""
-    if opener == "FrameRecord.load":
-        return read_frame_records(manifest)[0].load()
-    path = manifest.parent / "p.probimg"
-    image = np.memmap(path, dtype="<f4", mode="r", shape=shape,
-                      offset=path.stat().st_size - math.prod(shape) * 4)
-    return make_frame(np.ones(shape[:2]), image, intr)
 
 
 class TestBands:
@@ -846,121 +834,110 @@ class TestBands:
         each band once, in order."""
         image = pushed_simplex(5, (6, 10, 40), np.float32, 0.8e-5, share=1.0)
         assert np.abs(image.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
-        starts, band = [], registration._band
+        starts, band_reader = [], registration._band_reader
 
-        def record(rows, start, stop):
-            starts.append(start)
-            return band(rows, start, stop)
+        def record(image):
+            read = band_reader(image)
+
+            def recorded(start, stop):
+                starts.append(start)
+                return read(start, stop)
+            return recorded
 
         with bands_of(7, image), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(registration, "_band", record)
+            patch.setattr(registration, "_band_reader", record)
             assert frame_check(image) is None
         assert starts == [0, 7, 14, 21, 28, 35, 42, 49, 56]
 
     @pytest.mark.parametrize("with_roi", [False, True])
-    def test_register_frame_maps_only_the_bands_that_hold_kept_pixels(self, tmp_path, with_roi):
-        """A 12x10 read-only map in six bands of two image rows: rows 2-5
+    def test_register_frame_reads_only_the_bands_that_hold_kept_pixels(self, tmp_path, with_roi):
+        """A 12x10 PROBIMG1 frame in six bands of two image rows: rows 2-5
         have no valid depth and the roi, when set, cuts rows 10-11, so
-        register_frame maps the bands of the kept pixels alone, each once
-        and in order, and its means equal the oracle's."""
+        register_frame reads the bands of the kept pixels alone, each once,
+        whole and in order, and its means equal the oracle's."""
         rng = np.random.default_rng(16)
         proba = random_proba(rng, (12, 10, 4), np.float32, negative_zero=False)
         path = tmp_path / "p.probimg"
         write_probimg(path, proba)
         data = path.stat().st_size - proba.nbytes
-        image = np.memmap(path, dtype="<f4", mode="r", shape=proba.shape, offset=data)
         depth = np.ones((12, 10))
         depth[2:6] = 0.0
         # world y is the image row, so a voxel's center is its row + 0.5
         intr = CameraIntrinsics(fx=1.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=12)
         roi = Box3((-1e3, -1.0, 0.0), (1e3, 9.9, 2.0)) if with_roi else None
-        ends, mmap_ = [], mmap.mmap
+        reads, preadv = [], os.preadv
 
-        def record(fileno, length, *args, offset=0, **kwargs):
-            ends.append(offset + length)
-            return mmap_(fileno, length, *args, offset=offset, **kwargs)
+        def record(fd, buffers, offset):
+            got = preadv(fd, buffers, offset)
+            reads.append((offset, got))
+            return got
 
         with bands_of(20, proba):
-            frame = make_frame(depth, image, intr)
+            frame = make_frame(depth, read_probimg(path), intr)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(mmap, "mmap", record)
+                patch.setattr(os, "preadv", record)
                 register_frame(frame, 1.0, roi)
             assert_matches_unique_oracle(frame, 1.0, roi)
         band_bytes = 20 * 4 * 4
-        assert [(end - data) // band_bytes - 1 for end in ends] == (
-            [0, 3, 4] if with_roi else [0, 3, 4, 5])
-        assert all((end - data) % band_bytes == 0 for end in ends)
+        assert [((offset - data) // band_bytes, got) for offset, got in reads] == [
+            (band, band_bytes) for band in ([0, 3, 4] if with_roi else [0, 3, 4, 5])]
+        assert all((offset - data) % band_bytes == 0 for offset, _ in reads)
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
-    @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
-    def test_a_read_only_map_keeps_at_most_one_band_resident(self, tmp_path, opener):
-        """A 320x240x40 PROBIMG1 frame maps 12.3 MB. After its check, and
-        again after register_frame, at most one band and two pages of it
-        are resident; touching every entry brings the whole image back."""
+    def test_a_file_image_is_checked_holding_one_band(self, tmp_path):
+        """The check of a 320x240x40 PROBIMG1 image of 12.3 MB holds one
+        band of it and the band's float32 channel sums at most, while
+        reading the whole image takes all of it."""
         rng = np.random.default_rng(13)
         raw = rng.random((240, 320, 40))
-        manifest, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
-        path = tmp_path / "p.probimg"
-        frame = open_probimg_frame(opener, manifest, intr, raw.shape)
-        bound = grid._BAND_BYTES + 2 * mmap.PAGESIZE
-        assert map_rss(path) <= bound
-        result = register_frame(frame, 0.01)
-        assert len(result.codes) > 1000
-        assert map_rss(path) <= bound
-        frame.proba.sum(dtype=np.float64)
-        assert map_rss(path) >= raw.size * 4
+        _, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
+        depth = np.ones((240, 320))
+        frame, peak = traced(lambda: make_frame(depth, read_probimg(tmp_path / "p.probimg"), intr))
+        assert isinstance(frame.proba, FileImage)
+        assert peak <= grid._BAND_BYTES * 9 // 8
+        assert len(register_frame(frame, 0.01).codes) > 1000
+        assert traced(lambda: np.asarray(frame.proba))[1] >= raw.size * 4
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
-    @pytest.mark.parametrize("opener", ["FrameRecord.load", "np.memmap mode r"])
-    def test_a_read_only_map_keeps_at_most_one_band_resident_while_it_is_read(self, tmp_path,
-                                                                               opener):
-        """Each time the check moves on from a band of a 320x240x40
-        PROBIMG1 frame, and each time register_frame has added a band's
-        rows to the voxel sums, while it still holds that band, at most one
-        band and two pages of the file are resident. 20 cm voxels span 60
-        image rows, so a voxel's pixels lie in several bands."""
+    def test_register_frame_holds_one_band_more_for_a_file_image(self, tmp_path):
+        """Each time register_frame has added a band's rows of a
+        320x240x40 PROBIMG1 frame to the voxel sums, while it still holds
+        that band, it holds at most one band more than for the same image
+        on the heap. 20 cm voxels span 60 image rows, so a voxel's pixels
+        lie in several of the 12 bands."""
         rng = np.random.default_rng(15)
         raw = rng.random((240, 320, 40))
         manifest, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
-        path = tmp_path / "p.probimg"
-        resident, summed, bands, add_runs = [], [], grid._bands, registration._add_runs
+        on_file = read_frame_records(manifest)[0].load()
+        on_heap = make_frame(on_file.depth, np.asarray(on_file.proba), intr)
+        held, add_runs = {}, registration._add_runs
+        for frame in (on_file, on_heap):
+            held[frame] = []
 
-        def record(rows, first=0):
-            for band in bands(rows, first):
-                resident.append(map_rss(path))
-                yield band
-            resident.append(map_rss(path))
+            def record_sums(sums, rows, pixel, run):
+                add_runs(sums, rows, pixel, run)
+                held[frame].append(tracemalloc.get_traced_memory()[0])
 
-        def record_sums(sums, rows, pixel, run):
-            add_runs(sums, rows, pixel, run)
-            summed.append(map_rss(path))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(registration, "_add_runs", record_sums)
+                result, _ = traced(lambda: register_frame(frame, 0.2))
+            assert 1 < len(result.codes) < 100
+        assert len(held[on_file]) == len(held[on_heap]) == 12
+        extra = np.subtract(held[on_file], held[on_heap])
+        assert (extra > grid._BAND_BYTES // 2).all() and (extra <= grid._BAND_BYTES + 4096).all()
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(registration, "_bands", record)
-            patch.setattr(registration, "_add_runs", record_sums)
-            frame = open_probimg_frame(opener, manifest, intr, raw.shape)
-            checked = len(resident)
-            result = register_frame(frame, 0.2)
-        # 12 bands, and once more at the end
-        assert checked == 13 and len(resident) >= 2 * checked and len(summed) == 12
-        assert 1 < len(result.codes) < 100
-        assert max(resident + summed) <= grid._BAND_BYTES + 2 * mmap.PAGESIZE
-
-    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
-    def test_sums_that_take_the_float64_pass_keep_at_most_one_band_resident(self, tmp_path):
+    def test_sums_that_take_the_float64_pass_hold_one_band(self, tmp_path):
         """Channel sums 0.8e-5 off 1 are too far off for the float32 pass,
         so the float64 pass decides the frame: it accepts it, reading the
-        map band by band as the first pass does."""
+        file band by band as the first pass does and holding one band and
+        its per-pixel float64 sums at most."""
         rng = np.random.default_rng(13)
         raw = rng.random((240, 320, 40))
         proba = (raw / raw.sum(axis=2, keepdims=True) * (1.0 + 0.8e-5)).astype(np.float32)
         assert np.abs(proba.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
-        manifest, _ = probimg_frame_files(tmp_path, proba)
-        frame = read_frame_records(manifest)[0].load()
-        bound = grid._BAND_BYTES + 2 * mmap.PAGESIZE
-        assert map_rss(tmp_path / "p.probimg") <= bound
+        _, intr = probimg_frame_files(tmp_path, proba)
+        depth = np.ones((240, 320))
+        frame, peak = traced(lambda: make_frame(depth, read_probimg(tmp_path / "p.probimg"), intr))
+        assert peak <= grid._BAND_BYTES * 3 // 2
         assert len(register_frame(frame, 0.01).codes) > 1000
-        assert map_rss(tmp_path / "p.probimg") <= bound
 
     @pytest.mark.parametrize("kind", ["copy-on-write map", "np.memmap mode c", "heap array"])
     def test_writable_images_keep_their_values(self, tmp_path, kind):
@@ -990,3 +967,119 @@ class TestBands:
             assert frame_check(image) == oracle_frame_check(written) is None
             assert_matches_unique_oracle(frame)
         assert np.array_equal(image, written)
+
+
+class TestFileImage:
+    """A PROBIMG1 frame reads the file it was opened from, through a
+    descriptor of its own, and registers as the same image on the heap."""
+
+    def test_a_file_replaced_after_loading_registers_the_checked_image(self, tmp_path):
+        """After the frame is loaded, its file is replaced by one whose
+        channel sums are 3: register_frame still gives the means of the
+        image the check accepted, bit for bit."""
+        proba = random_proba(np.random.default_rng(21), (24, 30, 5), np.float32, False)
+        manifest, intr = probimg_frame_files(tmp_path, proba)
+        frame = read_frame_records(manifest)[0].load()
+        write_probimg(tmp_path / "new.probimg", proba * 3)
+        os.replace(tmp_path / "new.probimg", tmp_path / "p.probimg")
+        expected = register_frame(make_frame(np.ones((24, 30)), proba, intr), 0.01)
+        result = register_frame(frame, 0.01)
+        assert len(result.codes) > 50 and np.array_equal(result.codes, expected.codes)
+        assert np.array_equal(result.means.view(np.uint64), expected.means.view(np.uint64))
+
+    def test_a_file_truncated_after_loading_raises_naming_it_once(self, tmp_path):
+        proba = random_proba(np.random.default_rng(22), (24, 30, 5), np.float32, False)
+        manifest, _ = probimg_frame_files(tmp_path, proba)
+        frame = read_frame_records(manifest)[0].load()
+        path = tmp_path / "p.probimg"
+        os.truncate(path, path.stat().st_size // 2)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated at byte "
+                                             rf"{path.stat().st_size}$") as info:
+            register_frame(frame, 0.01)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_a_file_truncated_before_its_check_raises_naming_it_once(self, tmp_path):
+        """The header is read whole, then the payload is cut short: loading
+        the frame raises a ValueError that names the file once."""
+        proba = random_proba(np.random.default_rng(23), (24, 30, 5), np.float32, False)
+        manifest, _ = probimg_frame_files(tmp_path, proba)
+        path, read = tmp_path / "p.probimg", fileio.read_probimg
+
+        def truncating(name):
+            image = read(name)
+            os.truncate(name, name.stat().st_size - 4)
+            return image
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "read_probimg", truncating)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated at byte ") as info:
+                read_frame_records(manifest)[0].load()
+        assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, pickle.dumps])
+    def test_an_image_is_not_copied(self, tmp_path, copier):
+        """A copy would share the descriptor, which the first image freed
+        closes; the image refuses, naming its file."""
+        write_probimg(tmp_path / "p.probimg", np.full((2, 3, 2), 0.5))
+        with pytest.raises(TypeError, match=rf"^{re.escape(str(tmp_path / 'p.probimg'))}: "):
+            copier(read_probimg(tmp_path / "p.probimg"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), BAND_ROWS, st.sampled_from([1, 2, 3, 7, 13]),
+           st.sampled_from([1, 2, 3, 7, 13]), st.integers(2, 6), st.booleans(),
+           st.sampled_from([None, -0.25, 1.5, np.nan]))
+    def test_a_file_frame_registers_as_its_heap_copy(self, tmp_path_factory, seed, band, h, w,
+                                                     channels, with_roi, bad):
+        """Random depths with invalid pixels, poses and rois; bands of one
+        pixel row, a prime number of rows or more than the image; images of
+        a prime number of pixels: a frame of a PROBIMG1 file and one of the
+        same image on the heap are checked alike, and give bit-identical
+        codes, means and skip counts."""
+        rng = np.random.default_rng(seed)
+        proba = random_proba(rng, (h, w, channels), np.float32, negative_zero=False)
+        if bad is not None:
+            proba[rng.integers(h), rng.integers(w), rng.integers(channels)] = bad
+        path = tmp_path_factory.mktemp("probimg") / "p.probimg"
+        write_probimg(path, proba)
+        intr = CameraIntrinsics(fx=rng.uniform(0.5, 50.0), fy=rng.uniform(0.5, 50.0),
+                                cx=rng.uniform(0.0, w), cy=rng.uniform(0.0, h), width=w, height=h)
+        depth = rng.uniform(0.2, 5.0, size=(h, w))
+        depth[rng.random((h, w)) < 0.3] = 0.0
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        pose = Pose(rotation * np.sign(np.linalg.det(rotation)), rng.normal(size=3))
+        roi = Box3(rng.uniform(-3.0, 0.0, 3), rng.uniform(0.0, 3.0, 3)) if with_roi else None
+        resolution, outcomes = rng.uniform(0.05, 0.5), []
+        with bands_of(band, proba):
+            for image in (read_probimg(path), proba):
+                try:
+                    frame = make_frame(depth, image, intr, pose)
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+                    continue
+                result = register_frame(frame, resolution, roi)
+                outcomes.append((result.codes.tolist(), result.means.view(np.uint64).tolist(),
+                                 result.pixels_skipped_depth, result.pixels_skipped_roi))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_fuse_stream_leaves_no_descriptor_open(self, tmp_path):
+        """Four records of one PROBIMG1 file, three of them fused: each
+        frame's descriptor is closed before the next frame loads, none is
+        left open after, and none is left to the collector."""
+        proba = random_proba(np.random.default_rng(24), (24, 30, 5), np.float32, False)
+        manifest, _ = probimg_frame_files(tmp_path, proba)
+        records = read_manifest(manifest) * 4
+        write_manifest(manifest, [dict(record, timestamp=float(i),
+                                       pose=dict(record["pose"], timestamp=float(i)))
+                                  for i, record in enumerate(records)])
+        def open_fds():
+            return sorted(os.listdir("/proc/self/fd"))
+
+        before, during = open_fds(), []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stats = fuse_stream(LabelOccupancyGrid(0.05, 5), read_frame_records(manifest),
+                                on_frame=lambda *_: during.append(open_fds()))
+        assert stats.frames_fused == 3
+        assert during == [before] * 4 and open_fds() == before
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
