@@ -89,23 +89,19 @@ class Pose:
         return cls(np.eye(3), np.zeros(3))
 
     def rotate(self, points: np.ndarray) -> np.ndarray:
-        """Rotate points with shape (..., 3): ``points @ rotation.T``, bit for bit.
-
-        Several points are multiplied by a contiguous copy of the transpose,
-        which BLAS multiplies several times faster than the strided view and
-        rounds the same way. A single point is a matrix-vector product, whose
-        two layouts round differently, so it keeps the view.
-        """
-        pts = np.asarray(points, dtype=float)
-        rotation_t = self.rotation.T
-        if pts.ndim > 1 and pts.shape[-2] > 1:
-            rotation_t = np.ascontiguousarray(rotation_t)
-        return pts @ rotation_t
+        """Rotate points with shape (..., 3) by a contiguous copy of ``rotation.T``: a
+        point gets the bits of its row in any batch, and two or more rows get those
+        of ``points @ rotation.T``."""
+        return np.asarray(points, dtype=float) @ np.ascontiguousarray(self.rotation.T)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        """Map camera-frame points with shape (..., 3) into the world frame:
-        ``points @ rotation.T + translation``, bit for bit (see :meth:`rotate`)."""
-        return self.rotate(points) + self.translation
+        """Map camera-frame points with shape (..., 3) into the world frame: :meth:`rotate`,
+        then the translation added in place one column at a time, so a point's world
+        bits, too, depend only on the point and the pose, not on its batch."""
+        world = self.rotate(points)
+        for axis in range(3):
+            world[..., axis] += self.translation[axis]
+        return world
 
 
 def rotation_angle(rotation: np.ndarray) -> float:

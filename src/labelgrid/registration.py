@@ -46,17 +46,18 @@ class CameraIntrinsics:
 
 
 def softmax_image(logits) -> np.ndarray:
-    """Per-pixel softmax of an (H, W, C) score image, max-subtracted for safety."""
-    arr = np.asarray(logits, dtype=float)
+    """Per-pixel softmax of an (H, W, C) score image, max-subtracted, in place on a float64 copy."""
+    arr = np.array(logits, dtype=float)
     if arr.ndim != 3:
         raise ValueError(f"expected an (H, W, C) score image, got shape {arr.shape}")
     finite = np.isfinite(arr)
     if not finite.all():
         v, u, c = np.argwhere(~finite)[0]
         raise ValueError(f"non-finite score at pixel (row={v}, col={u}, channel={c})")
-    shifted = arr - arr.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=2, keepdims=True)
+    arr -= arr.max(axis=2, keepdims=True)
+    np.exp(arr, out=arr)
+    arr /= arr.sum(axis=2, keepdims=True)
+    return arr
 
 
 class FileImage:
@@ -209,13 +210,14 @@ def _add_runs(sums: np.ndarray, rows: np.ndarray, pixel: np.ndarray, run: np.nda
     of them. ``np.add.reduceat`` is not used: it regroups runs of 8 or more
     rows.
     """
-    # stable, so each run keeps its pixels' order
-    order = np.argsort(run, kind="stable")
+    # stable, so each run keeps its pixels' order; keys of 16 bits or fewer radix-sort
+    order = np.argsort(run.astype(np.min_scalar_type(sums.shape[0])), kind="stable")
     pixel, run = pixel[order], run[order]
     del order
     starts = np.flatnonzero(np.diff(run, prepend=-1))
     lengths = np.diff(starts, append=pixel.shape[0])
-    by_length = np.argsort(-lengths, kind="stable")
+    by_length = np.argsort((-lengths).astype(np.min_scalar_type(-pixel.shape[0])),
+                           kind="stable")
     first, length = starts[by_length], lengths[by_length]
     target = run[first]
     # longer[k] = how many runs have more than k rows (a prefix of by_length)
@@ -256,12 +258,6 @@ def register_frame(frame: SensorFrame, resolution: float,
     depth = frame.depth.reshape(-1)
     valid = np.isfinite(depth) & (depth > 0)
     count = int(np.count_nonzero(valid))
-    # Pose.rotate: a contiguous transpose for several points, the strided
-    # view for one, whose matrix-vector product rounds differently. A band
-    # is rotated as the whole frame would be, one valid pixel or many.
-    rotation_t = pose.rotation.T
-    if count > 1:
-        rotation_t = np.ascontiguousarray(rotation_t)
     # a pixel's row within its band stands in for its probability row until the sums
     pixel = np.empty(count, dtype=np.int64)
     codes = np.empty(count, dtype=np.int64)
@@ -280,12 +276,8 @@ def register_frame(frame: SensorFrame, resolution: float,
             np.divide(out, focal, out=out)
         cam[:, 2] = d
         del vv, uu, d, out, coord, center, focal
-        # pose.transform(cam), with the translation added in place one
-        # column at a time, which is faster than broadcasting a (3,) row
-        world = cam @ rotation_t
+        world = pose.transform(cam)
         del cam
-        for axis in range(3):
-            world[:, axis] += pose.translation[axis]
         world /= resolution
         np.floor(world, out=world)
         keys = world.astype(np.int64)

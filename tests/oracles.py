@@ -156,10 +156,11 @@ def oracle_ray_box_depth(origin, dirs, box):
 
 
 def oracle_render_scene(scene, pose, intrinsics):
-    """Depth and label image, every box tested against all rays as ``(N, 3)``."""
+    """Depth and label image, every box tested against all rays as ``(N, 3)``,
+    rotated by the contiguous transpose as ``Pose.rotate`` is, one ray or many."""
     from labelgrid.simulator import _pixel_rays
 
-    dirs = _pixel_rays(intrinsics) @ pose.rotation.T
+    dirs = _pixel_rays(intrinsics) @ np.ascontiguousarray(pose.rotation.T)
     origin = pose.translation
     best_t = np.full(dirs.shape[0], np.inf)
     best_label = np.zeros(dirs.shape[0], dtype=np.int32)

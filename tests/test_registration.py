@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from labelgrid import (Box3, CameraIntrinsics, Pose, SensorFrame, register_frame,
                        softmax_image)
@@ -58,6 +59,20 @@ class TestSoftmax:
         probs = softmax_image(np.array([[[700.0, 710.0, 650.0]]]))
         assert np.isfinite(probs).all()
         assert probs[0, 0].sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_on_one_float64_copy(self, dtype):
+        """The bits of the expression with three temporaries, the caller's
+        array unchanged, and a traced peak of about one float64 image."""
+        logits = np.random.default_rng(12).normal(scale=5.0, size=(60, 80, 40)).astype(dtype)
+        before = logits.copy()
+        arr = logits.astype(float)
+        e = np.exp(arr - arr.max(axis=2, keepdims=True))
+        want = e / e.sum(axis=2, keepdims=True)
+        probs, peak = traced(lambda: softmax_image(logits))
+        assert np.array_equal(probs.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(logits, before)
+        assert peak < 1.25 * logits.size * 8
 
     def test_non_finite_reports_pixel(self):
         logits = np.zeros((3, 4, 2))
@@ -178,6 +193,29 @@ class TestRegisterFrame:
         assert unpack_codes(result.codes).tolist() == [[100, 0, 100]]
         assert np.allclose(result.means[0], [0.3, 0.7], atol=1e-15)
         assert result.pixels_skipped_depth == 200 * 200 - 1
+
+    def test_a_lone_valid_pixel_registers_as_among_others(self):
+        """A frame's only valid pixel gets the key and skip counts it gets
+        among other valid pixels. Each pose puts its world point exactly on
+        the corner of voxel (0, 0, 0), so a rotation off by one ulp below
+        moves it into a voxel that the roi drops."""
+        rng = np.random.default_rng(21)
+        intr = CameraIntrinsics(fx=30.0, fy=28.0, cx=16.0, cy=15.0, width=32, height=24)
+        depth = rng.uniform(0.5, 3.0, size=(24, 32))
+        proba = random_proba(rng, (24, 32, 3), np.float64, negative_zero=False)
+        lone = np.zeros_like(depth)
+        lone[7, 19] = depth[7, 19]
+        roi = Box3((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        corner = pack_keys(np.zeros((1, 3), dtype=np.int64))
+        for rotation in Rotation.random(40, random_state=21).as_matrix():
+            pixel, world = oracle_world(make_frame(depth, proba, intr, Pose(rotation, np.zeros(3))))
+            pose = Pose(rotation, -world[pixel == 7 * 32 + 19][0])
+            among = register_frame(make_frame(depth, proba, intr, pose), 0.5, roi)
+            alone = register_frame(make_frame(lone, proba, intr, pose), 0.5, roi)
+            assert np.isin(corner, among.codes).all()
+            assert np.array_equal(alone.codes, corner)
+            assert np.array_equal(alone.means[0].view(np.uint64), proba[7, 19].view(np.uint64))
+            assert (alone.pixels_skipped_depth, alone.pixels_skipped_roi) == (depth.size - 1, 0)
 
     @pytest.mark.parametrize("bad_depth", [0.0, -1.0, math.nan, math.inf])
     def test_invalid_depth_pixel_skipped(self, intr100, bad_depth):
@@ -548,11 +586,14 @@ class TestRunSums:
         assert result.codes.shape == (1,)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_many_single_pixel_runs(self, dtype):
+    # (240, 320, 2) passes 65 535 voxels, and 32 767 pixels in a band, so
+    # both sort keys in _add_runs take 32 bits
+    @pytest.mark.parametrize("shape", [(60, 80, 4), (240, 320, 2)])
+    def test_many_single_pixel_runs(self, dtype, shape):
         rng = np.random.default_rng(6)
-        proba = random_proba(rng, (60, 80, 4), dtype, negative_zero=False)
-        voxel = rng.permutation(60 * 80)
-        voxel[rng.random(60 * 80) < 0.1] = -1
+        proba = random_proba(rng, shape, dtype, negative_zero=False)
+        voxel = rng.permutation(shape[0] * shape[1])
+        voxel[rng.random(voxel.size) < 0.1] = -1
         result = assert_matches_unique_oracle(voxel_run_frame(voxel, proba))
         assert result.codes.shape == (np.count_nonzero(voxel >= 0),)
 
@@ -658,19 +699,35 @@ def test_roi_cut_past_the_int64_range(corner):
        st.tuples(*[st.floats(-1e3, 1e3)] * 3),
        st.integers(0, 2 ** 32 - 1),
        st.sampled_from([(3,), (1, 3), (2, 3), (7, 3), (300, 3), (5000, 3), (4, 1, 3), (3, 5, 3)]))
-def test_pose_transform_is_the_literal_product(quaternion, translation, seed, shape):
-    """The contiguous transpose changes no bit, for one point or many."""
+def test_pose_maps_a_point_to_its_row_in_any_batch(quaternion, translation, seed, shape):
+    """rotate and transform give every point the bits of its row in an
+    ``(N, 3)`` batch: alone, as one row, or in a stack of any shape. Two or
+    more rows give the literal ``points @ rotation.T (+ translation)``."""
     w, x, y, z = np.array(quaternion) / np.linalg.norm(quaternion)
     rotation = np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]])
     pose = Pose(rotation, translation)
-    points = np.random.default_rng(seed).normal(scale=3.0, size=shape)
-    expected = points @ pose.rotation.T + pose.translation
-    assert np.array_equal(pose.transform(points).view(np.uint64), expected.view(np.uint64))
-    assert np.array_equal(pose.rotate(points).view(np.uint64),
-                          (points @ pose.rotation.T).view(np.uint64))
+    rng = np.random.default_rng(seed)
+    points = rng.normal(scale=3.0, size=shape)
+    flat = points.reshape(-1, 3)
+    batch = np.concatenate([flat, rng.normal(scale=3.0, size=(40, 3))])
+    literal = batch @ pose.rotation.T
+    for method, want in ((pose.rotate, literal), (pose.transform, literal + pose.translation)):
+        rows = method(batch)
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+        rows = rows[:flat.shape[0]]
+        got = method(points)
+        assert got.shape == shape
+        assert np.array_equal(got.reshape(-1, 3).view(np.uint64), rows.view(np.uint64))
+        for i in range(min(flat.shape[0], 8)):
+            assert np.array_equal(method(flat[i]).view(np.uint64), rows[i].view(np.uint64))
+            assert np.array_equal(method(flat[i:i + 1]).view(np.uint64),
+                                  rows[i:i + 1].view(np.uint64))
+    if len(shape) > 1 and shape[-2] > 1:
+        assert np.array_equal(pose.transform(points).view(np.uint64),
+                              (points @ pose.rotation.T + pose.translation).view(np.uint64))
 
 
 # band sizes in pixel rows: one row, a few primes, and more than any test image
@@ -745,9 +802,8 @@ class TestBands:
         deprojected in bands of 1, 2 or a prime number of pixel rows: codes,
         means and both skip counts equal those of the whole-frame
         deprojection, bit for bit, with one pixel on a voxel corner. A band
-        that holds one valid pixel in a frame of many is rotated as the
-        whole frame is, and a frame of one valid pixel keeps the
-        matrix-vector product."""
+        or a frame that holds one valid pixel rotates it to the bits of its
+        row in any batch (see Pose.rotate)."""
         rng = np.random.default_rng(seed)
         h, w = (int(n) for n in rng.integers(4, 16, size=2))
         intr = CameraIntrinsics(fx=rng.uniform(0.5, 50.0), fy=rng.uniform(0.5, 50.0),

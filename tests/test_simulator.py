@@ -511,11 +511,11 @@ class TestPixelRays:
 
     @pytest.mark.parametrize("size", [(1, 1), (2, 1), (1, 2), (3, 2)])
     def test_tiny_images_render_bit_equal(self, size):
-        """A one-pixel image rotates a single ray, which keeps the strided
-        transpose (see Pose.rotate); the others use the contiguous copy. The
-        eye sits inside a box, so every ray hits and its depth shows the
-        direction's last bits; about one rotation in twenty shows a wrong
-        single-ray transpose."""
+        """A one-pixel image rotates a single ray, which gets the bits of its
+        row in any batch (see Pose.rotate). The eye sits inside a box, so
+        every ray hits and its depth shows the direction's last bits; about
+        one rotation in twenty shows a single ray rotated by the strided
+        transpose, whose matrix-vector product rounds differently."""
         box = Box3((-0.7, -0.4, -0.9), (0.6, 0.8, 0.3))
         scene = scene_of([(4, box), (2, Box3((-0.2, -0.1, 0.1), (0.1, 0.3, 0.25)))])
         width, height = size
