@@ -30,8 +30,10 @@ _LGRID_HEAD = struct.Struct("<7sdIdB")
 PROBIMG_MAGIC = b"PROBIMG1"
 # header line bound in bytes; the longest valid one with single spaces is 66
 _PROBIMG_HEADER_MAX = 1024
-# magic, width, height and maxval, then the one whitespace byte before the raster
-_PGM_HEADER = re.compile(rb"\s*(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s?")
+# magic, width, height and maxval, separated by whitespace and "#" comments that run
+# through a line end, then the one whitespace byte before the raster
+_PGM_GAP = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PGM_HEADER = re.compile(rb"\s*([^\s#]+)%b([^\s#]+)%b([^\s#]+)%b(\S+)\s?" % ((_PGM_GAP,) * 3))
 
 
 # --- depth images (PGM P5, millimeters) ---------------------------------
@@ -381,10 +383,11 @@ def _check_frame_record(record) -> tuple[Pose, CameraIntrinsics, float, str]:
 def load_frame(record: dict, base_dir) -> SensorFrame:
     """Materialize one manifest record into a SensorFrame, softmaxing a ``logits_file``.
 
-    This is the one place frame images are decoded. A ``proba_file`` stays
-    float32 in the frame. A bad record raises ``ValueError`` naming the field,
-    a depth image of the wrong size one naming that image, and any other
-    invalid frame one naming the probability or logit image.
+    This is the one place frame images are decoded. A ``proba_file`` stays a
+    float32 ``FileImage``, whose values ``register_frame`` checks as it reads
+    them. A bad record raises ``ValueError`` naming the field, a depth image of
+    the wrong size one naming that image, and any other invalid frame one
+    naming the probability or logit image.
     """
     base = Path(base_dir)
     pose, intr, timestamp, image = _check_frame_record(record)

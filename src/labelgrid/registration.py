@@ -62,8 +62,9 @@ def softmax_image(logits) -> np.ndarray:
 
 class FileImage:
     """An ``(H, W, C)`` float32 image that :func:`~labelgrid.fileio.read_probimg` opened, read
-    on demand through its own descriptor, closed when the image is freed; ``np.asarray`` reads
-    it whole. A short read, from a file truncated since, raises ``ValueError`` naming the file."""
+    on demand through its own descriptor, closed when the image is freed: :func:`register_frame`
+    reads and checks each band once, and ``np.asarray`` reads it whole. A short read, from a
+    file truncated since, raises ``ValueError`` naming the file."""
 
     dtype = np.dtype("<f4")
 
@@ -93,17 +94,12 @@ class FileImage:
 class SensorFrame:
     """One measurement: depth + per-pixel class probabilities + pose.
 
-    ``proba`` must be a per-pixel simplex image: entries in [0, 1], channel
-    sums, taken in float64, within 1e-5 of 1. A float32 image (as PROBIMG1
-    decodes) stays float32, any other is widened to float64. Raw class
-    scores are turned into probabilities with :func:`softmax_image` before
-    a frame is built.
-
-    The check reads every band of about 1 MiB of the image, one at a
-    time; :func:`register_frame` reads only the bands that hold kept
-    pixels. A band whose channel sums in the image's dtype (float32 for
-    PROBIMG1) cannot decide is summed again in float64 before the next
-    band is read. A :class:`FileImage` is read into one band's buffer per loop.
+    ``proba`` is an ``(H, W, C)`` image of C >= 2 class probabilities. A
+    float32 image (as PROBIMG1 decodes) stays float32, any other is
+    widened to float64. Building a frame checks shapes, not values, and
+    reads no probability: :func:`register_frame` checks that each pixel is
+    a simplex as it reads the image. Raw class scores are turned into
+    probabilities with :func:`softmax_image` before a frame is built.
     """
 
     timestamp: float
@@ -127,30 +123,6 @@ class SensorFrame:
             raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")
         if image.shape[2] < 2:
             raise ValueError("channel image needs at least two classes")
-        # A channel sum in the image's dtype is off from the exact sum of L
-        # entries in [0, 1] by at most gamma_L * sum, whatever the order of
-        # additions (Higham 2002, sections 3.1 and 4.2). The margin below,
-        # taken from each band's own largest sum, is at least twice that, so
-        # a band accepted here is one the float64 sums accept; any other band
-        # is summed again in float64. Those sums decide the frame, and the
-        # error gives their worst deviation, which is the image's worst when
-        # it exceeds 1e-5. On a 2-core Xeon VM, einsum took 1.0 ms on a
-        # 320x240x40 float32 image and a BLAS row sum 0.6 ms, but CLI fuse
-        # of the transit-320 benchmark stream peaked 0.4 MB higher with BLAS.
-        read = _band_reader(image)
-        eps, worst = float(np.finfo(image.dtype).eps), 0.0
-        for start, stop in _bands(image):
-            band = read(start, stop)
-            # written so that a NaN entry, which fails every comparison, is rejected
-            if not (band.min() >= 0.0 and band.max() <= 1.0):
-                raise ValueError("probability image entries must lie in [0, 1]")
-            fast = np.einsum("ij->i", band)
-            low, high = float(fast.min()), float(fast.max())
-            if max(1.0 - low, high - 1.0) + image.shape[2] * eps * max(1.0, high) + 1e-12 > 1e-5:
-                sums = band.sum(axis=1, dtype=np.float64)
-                worst = max(worst, float(np.abs(sums - 1.0).max()))
-        if worst > 1e-5:
-            raise ValueError(f"probability image channel sums deviate from 1 by {worst:.3g}")
         self.proba = image
 
     @property
@@ -248,10 +220,13 @@ def register_frame(frame: SensorFrame, resolution: float,
     row-major order, then divides by the pixel count. A kept voxel key
     outside [-2**20, 2**20) on any axis raises ``ValueError``.
 
-    Pixels are deprojected and binned one band at a time, in row-major
-    order. The probability image is then read one band at a time, as the
-    :class:`SensorFrame` check reads it, skipping the bands that hold no
-    kept pixel, and each voxel's sum is carried from band to band.
+    Pixels are deprojected and binned one band of about 1 MiB at a time,
+    in row-major order, so a key-range error comes first. Then each band
+    of the probability image is read once, into one buffer for a
+    :class:`FileImage`, and checked before its kept pixels' rows join the
+    voxel sums carried from band to band. The check raises ``ValueError``,
+    naming a FileImage's path, unless every entry lies in [0, 1] (a NaN on
+    a zero-depth pixel fails too) and every float64 channel sum within 1e-5 of 1.
     """
     positive_finite("resolution", resolution)
     intr, pose = frame.intrinsics, frame.pose
@@ -311,11 +286,32 @@ def register_frame(frame: SensorFrame, resolution: float,
     counts = np.bincount(index)
     codes = codes[new]
     del order, new, index
-    sums = np.zeros((codes.shape[0], frame.num_labels))
-    read, lo = _band_reader(frame.proba), 0
-    for (start, stop), hi in zip(_bands(frame.proba), ends):
+    sums, image = np.zeros((codes.shape[0], frame.num_labels)), frame.proba
+    where = f"{image.path}: " if isinstance(image, FileImage) else ""
+    # A channel sum in the image's dtype is off from the exact sum of L entries in [0, 1] by
+    # at most gamma_L * sum, whatever the order of additions (Higham 2002, sections 3.1 and
+    # 4.2). The margin below, taken from each band's own largest sum, is at least twice
+    # that, so a band accepted here is one the float64 sums accept; any other band is summed
+    # again in float64. Those sums decide the frame, and the error gives their worst
+    # deviation, which is the image's worst when it exceeds 1e-5. On a 2-core Xeon VM,
+    # einsum took 1.0 ms on a 320x240x40 float32 image and a BLAS row sum 0.6 ms, but CLI
+    # fuse of the transit-320 benchmark stream peaked 0.4 MB higher with BLAS.
+    read, lo = _band_reader(image), 0
+    eps, worst = float(np.finfo(image.dtype).eps), 0.0
+    for (start, stop), hi in zip(_bands(image), ends):
+        band = read(start, stop)
+        # written so that a NaN entry, which fails every comparison, is rejected
+        if not (band.min() >= 0.0 and band.max() <= 1.0):
+            raise ValueError(f"{where}probability image entries must lie in [0, 1]")
+        fast = np.einsum("ij->i", band)
+        low, high = float(fast.min()), float(fast.max())
+        del fast
+        if max(1.0 - low, high - 1.0) + image.shape[2] * eps * max(1.0, high) + 1e-12 > 1e-5:
+            worst = max(worst, float(np.abs(band.sum(axis=1, dtype=np.float64) - 1.0).max()))
         if lo < hi:
-            _add_runs(sums, read(start, stop), pixel[lo:hi], run[lo:hi])
+            _add_runs(sums, band, pixel[lo:hi], run[lo:hi])
         lo = hi
+    if worst > 1e-5:
+        raise ValueError(f"{where}probability image channel sums deviate from 1 by {worst:.3g}")
     sums /= counts[:, None]
     return RegistrationResult(codes, sums, int(depth.size - count), count - kept)

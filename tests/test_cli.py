@@ -361,8 +361,8 @@ class TestStreamingFuse:
 
     def test_an_image_truncated_before_registration_exits_2_naming_the_file(self, sim_run,
                                                                            tmp_path, capsys):
-        """The first fused frame's image passes its check, then is cut to
-        half before it is registered: fuse exits 2, naming the file once."""
+        """The first fused frame loads, then its image is cut to half before
+        it is registered: fuse exits 2, naming the file once."""
         # the default gate fuses from the second still frame on
         path = sim_run["stream"] / read_manifest(sim_run["manifest"])[1]["proba_file"]
         register_frame = fusion.register_frame
@@ -378,6 +378,36 @@ class TestStreamingFuse:
         assert code == 2
         assert err.startswith(f"error: {path}: truncated at byte ") and err.count(str(path)) == 1
         assert not (tmp_path / "grid.lgrid").exists()
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan])
+    def test_an_entry_written_before_registration_exits_2_naming_the_file(self, sim_run, tmp_path,
+                                                                         capsys, bad):
+        """The first fused frame loads, then one entry of a pixel with valid
+        depth is overwritten in place before it is registered: the check
+        reads the bytes that are summed, so fuse exits 2, naming the file,
+        and leaves no snapshot behind."""
+        record = read_manifest(sim_run["manifest"])[1]
+        path = sim_run["stream"] / record["proba_file"]
+        depth = fileio.read_depth_pgm(sim_run["stream"] / record["depth_file"])
+        shape = np.asarray(fileio.read_probimg(path)).shape
+        pixel = np.flatnonzero(depth > 0)[depth.size // 3]
+        offset = path.stat().st_size - 4 * math.prod(shape) + 4 * (pixel * shape[2] + 5)
+        register_frame = fusion.register_frame
+
+        def overwriting(frame, *args):
+            with open(path, "r+b") as f:
+                f.seek(offset)
+                f.write(np.float32(bad).tobytes())
+            return register_frame(frame, *args)
+
+        snapdir = tmp_path / "snaps"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fusion, "register_frame", overwriting)
+            code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--per-frame-snapshots",
+                                   snapdir, "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert err == f"error: {path}: probability image entries must lie in [0, 1]\n"
+        assert list(snapdir.iterdir()) == [] and not (tmp_path / "grid.lgrid").exists()
 
     def test_label_count_mismatch_exits_2_naming_the_frame(self, sim_run, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,

@@ -69,6 +69,29 @@ class TestDepthPgm:
         with pytest.raises(ValueError):
             read_depth_pgm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P5\n# CREATOR: GIMP PNM Filter Version 1.1\n3 2\n65535\n",
+        b"P5 3# width\n# and height\r2\n65535\n",
+        b"P5\n3 2\n#\n  # maxval\n\t65535\n",
+        b"P5#\n3 2 65535\n",
+    ], ids=["after the magic", "between the sizes", "before the maxval", "touching the magic"])
+    def test_header_comments_are_skipped(self, tmp_path, header):
+        """Netpbm allows a '#' comment, to the end of its line, wherever the
+        header allows whitespace before the maxval."""
+        path = tmp_path / "d.pgm"
+        mm = np.arange(1, 7, dtype=">u2").reshape(2, 3)
+        path.write_bytes(header + mm.tobytes())
+        assert np.array_equal(read_depth_pgm(path), mm / 1000.0)
+
+    def test_raster_that_starts_with_a_hash_is_data(self, tmp_path):
+        """The raster starts right after the maxval's one whitespace byte,
+        so a '#' there is a sample, not a comment."""
+        path = tmp_path / "d.pgm"
+        raster = b"#\n\n#" + b"\x00\x01"
+        path.write_bytes(b"P5\n3 1\n65535\n" + raster)
+        assert np.array_equal(read_depth_pgm(path),
+                              np.frombuffer(raster, ">u2").reshape(1, 3) / 1000.0)
+
 
 class TestProbimg:
     def test_round_trip_is_float32_exact(self, tmp_path):

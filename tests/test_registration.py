@@ -127,7 +127,7 @@ class TestSensorFrameValidation:
         depth = np.ones((200, 200))
         proba = np.full((200, 200, 2), 0.6)
         with pytest.raises(ValueError, match="channel sums"):
-            make_frame(depth, proba, intr100)
+            register_frame(make_frame(depth, proba, intr100), 1.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rejects_nan_on_a_zero_depth_pixel(self, intr100, dtype):
@@ -136,7 +136,7 @@ class TestSensorFrameValidation:
         proba = np.full((200, 200, 2), 0.5, dtype=dtype)
         proba[3, 4, 1] = np.nan
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            make_frame(depth, proba, intr100)
+            register_frame(make_frame(depth, proba, intr100), 1.0)
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_timestamp(self, intr100, timestamp):
@@ -348,19 +348,17 @@ class TestRegisterFrame:
 
 
 def test_frame_check_peak_memory_per_pixel():
-    """The float32 channel sums of a 320x240x40 simplex image take 4 traced
-    bytes per pixel; float64 sums and their deviations took 24."""
+    """register_frame checks every band of a 320x240x40 simplex image, also
+    with no valid depth: the depth masks and one band's float32 channel
+    sums take 3.0 traced bytes per pixel; whole-image float64 sums and
+    their deviations took 24."""
     intr = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0, width=320, height=240)
-    depth = np.ones((240, 320))
+    depth = np.zeros((240, 320))
     proba = np.full((240, 320, 40), 0.025, dtype=np.float32)
-    make_frame(depth, proba, intr)
-    tracemalloc.start()
-    try:
-        frame = make_frame(depth, proba, intr)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert frame.proba is proba
+    frame = make_frame(depth, proba, intr)
+    register_frame(frame, 0.05)
+    result, peak = traced(lambda: register_frame(frame, 0.05))
+    assert frame.proba is proba and result.pixels_skipped_depth == depth.size
     assert peak / depth.size < 8
 
 
@@ -453,30 +451,22 @@ def test_simplex_check_same_in_float32_and_float64(seed, channels, side, jitter,
     widened image, so both accept and reject the same images, and report
     the same deviation."""
     rng = np.random.default_rng(seed)
-    intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=3.0, cy=2.0, width=6, height=5)
     raw = rng.uniform(0.0, 1.0, size=(5, 6, channels))
     proba = raw / raw.sum(axis=2, keepdims=True)
     # push some pixels' sums to within a few float32 ulps of the 1e-5 bound
     proba[rng.random((5, 6)) < share] *= 1.0 + side * 1e-5 + jitter
     proba = proba.astype(np.float32)
     assert np.array_equal(proba.sum(axis=2, dtype=np.float64), proba.astype(float).sum(axis=2))
-    outcomes = []
-    for image in (proba, proba.astype(float)):
-        try:
-            make_frame(np.ones((5, 6)), image, intr)
-            outcomes.append("accepted")
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    assert outcomes[0] == outcomes[1]
+    assert frame_check(proba) == frame_check(proba.astype(float))
 
 
 def frame_check(image):
-    """The message of the ``ValueError`` that building a frame of ``image``
-    raises, or ``None`` when the frame is built."""
+    """The message of the ``ValueError`` that registering a frame of
+    ``image`` raises, or ``None`` when the frame registers."""
     h, w = image.shape[:2]
     intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=0.0, cy=0.0, width=w, height=h)
     try:
-        make_frame(np.ones((h, w)), image, intr)
+        register_frame(make_frame(np.ones((h, w)), image, intr), 1.0)
     except ValueError as exc:
         return str(exc)
     return None
@@ -497,7 +487,7 @@ def pushed_simplex(seed, shape, dtype, deviation, share=0.5):
        st.floats(-3.0, 3.0), st.floats(0.0, 1.0))
 def test_frame_check_matches_float64_oracle(seed, dtype, channels, side, near_bound, in_ulps,
                                             offset, share):
-    """Building a frame accepts and rejects exactly the images that the
+    """Registering a frame accepts and rejects exactly the images that the
     float64 channel sums do, with the same message. Row sums are pushed to
     1 +- d, with d a few ulps or a few margins from 1e-5 or from the
     float32 pass threshold 1e-5 - margin, where margin = L * eps + 1e-12, so that
@@ -906,11 +896,12 @@ class TestBands:
         assert starts == [0, 7, 14, 21, 28, 35, 42, 49, 56]
 
     @pytest.mark.parametrize("with_roi", [False, True])
-    def test_register_frame_reads_only_the_bands_that_hold_kept_pixels(self, tmp_path, with_roi):
+    def test_register_frame_reads_every_band_once_whole_and_in_order(self, tmp_path, with_roi):
         """A 12x10 PROBIMG1 frame in six bands of two image rows: rows 2-5
-        have no valid depth and the roi, when set, cuts rows 10-11, so
-        register_frame reads the bands of the kept pixels alone, each once,
-        whole and in order, and its means equal the oracle's."""
+        have no valid depth and the roi, when set, cuts rows 10-11, yet
+        register_frame reads every band to check it, each once, whole and in
+        order, and its means equal the oracle's. Building the frame reads
+        none."""
         rng = np.random.default_rng(16)
         proba = random_proba(rng, (12, 10, 4), np.float32, negative_zero=False)
         path = tmp_path / "p.probimg"
@@ -929,28 +920,34 @@ class TestBands:
             return got
 
         with bands_of(20, proba):
-            frame = make_frame(depth, read_probimg(path), intr)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(os, "preadv", record)
+                frame = make_frame(depth, read_probimg(path), intr)
+                assert reads == []
                 register_frame(frame, 1.0, roi)
             assert_matches_unique_oracle(frame, 1.0, roi)
         band_bytes = 20 * 4 * 4
         assert [((offset - data) // band_bytes, got) for offset, got in reads] == [
-            (band, band_bytes) for band in ([0, 3, 4] if with_roi else [0, 3, 4, 5])]
+            (band, band_bytes) for band in range(6)]
         assert all((offset - data) % band_bytes == 0 for offset, _ in reads)
 
     def test_a_file_image_is_checked_holding_one_band(self, tmp_path):
-        """The check of a 320x240x40 PROBIMG1 image of 12.3 MB holds one
-        band of it and the band's float32 channel sums at most, while
-        reading the whole image takes all of it."""
+        """Building a frame of a 320x240x40 PROBIMG1 image of 12.3 MB reads
+        none of it, and registering it, check included, peaks at most one
+        band above registering the same image on the heap, while reading
+        the whole image takes all of it."""
         rng = np.random.default_rng(13)
         raw = rng.random((240, 320, 40))
         _, intr = probimg_frame_files(tmp_path, raw / raw.sum(axis=2, keepdims=True))
         depth = np.ones((240, 320))
         frame, peak = traced(lambda: make_frame(depth, read_probimg(tmp_path / "p.probimg"), intr))
         assert isinstance(frame.proba, FileImage)
-        assert peak <= grid._BAND_BYTES * 9 // 8
-        assert len(register_frame(frame, 0.01).codes) > 1000
+        assert peak < grid._BAND_BYTES // 16
+        heap_frame = make_frame(depth, np.asarray(frame.proba), intr)
+        (on_file, file_peak), (on_heap, heap_peak) = (traced(lambda: register_frame(f, 0.01))
+                                                      for f in (frame, heap_frame))
+        assert len(on_file.codes) > 1000 and np.array_equal(on_file.means, on_heap.means)
+        assert file_peak - heap_peak <= grid._BAND_BYTES * 9 // 8
         assert traced(lambda: np.asarray(frame.proba))[1] >= raw.size * 4
 
     def test_register_frame_holds_one_band_more_for_a_file_image(self, tmp_path):
@@ -982,18 +979,24 @@ class TestBands:
 
     def test_sums_that_take_the_float64_pass_hold_one_band(self, tmp_path):
         """Channel sums 0.8e-5 off 1 are too far off for the float32 pass,
-        so the float64 pass decides the frame: it accepts it, reading the
-        file band by band as the first pass does and holding one band and
-        its per-pixel float64 sums at most."""
+        so the float64 pass decides the frame: it accepts it, summing each
+        band of the file as it is read, and register_frame peaks at most a
+        quarter band above registering the same image with exact sums."""
         rng = np.random.default_rng(13)
         raw = rng.random((240, 320, 40))
-        proba = (raw / raw.sum(axis=2, keepdims=True) * (1.0 + 0.8e-5)).astype(np.float32)
+        exact = raw / raw.sum(axis=2, keepdims=True)
+        proba = (exact * (1.0 + 0.8e-5)).astype(np.float32)
         assert np.abs(proba.sum(axis=2) - 1.0).max() + 40 * np.finfo(np.float32).eps > 1e-5
-        _, intr = probimg_frame_files(tmp_path, proba)
-        depth = np.ones((240, 320))
-        frame, peak = traced(lambda: make_frame(depth, read_probimg(tmp_path / "p.probimg"), intr))
-        assert peak <= grid._BAND_BYTES * 3 // 2
-        assert len(register_frame(frame, 0.01).codes) > 1000
+        peaks = []
+        for name, image in (("off", proba), ("exact", exact)):
+            (tmp_path / name).mkdir()
+            _, intr = probimg_frame_files(tmp_path / name, image)
+            frame = make_frame(np.ones((240, 320)), read_probimg(tmp_path / name / "p.probimg"),
+                               intr)
+            result, peak = traced(lambda: register_frame(frame, 0.01))
+            assert len(result.codes) > 1000
+            peaks.append(peak)
+        assert peaks[0] - peaks[1] <= grid._BAND_BYTES // 4
 
     @pytest.mark.parametrize("kind", ["copy-on-write map", "np.memmap mode c", "heap array"])
     def test_writable_images_keep_their_values(self, tmp_path, kind):
@@ -1031,8 +1034,8 @@ class TestFileImage:
 
     def test_a_file_replaced_after_loading_registers_the_checked_image(self, tmp_path):
         """After the frame is loaded, its file is replaced by one whose
-        channel sums are 3: register_frame still gives the means of the
-        image the check accepted, bit for bit."""
+        channel sums are 3: register_frame still checks and registers the
+        image the frame was loaded from, to the bits of its heap copy."""
         proba = random_proba(np.random.default_rng(21), (24, 30, 5), np.float32, False)
         manifest, intr = probimg_frame_files(tmp_path, proba)
         frame = read_frame_records(manifest)[0].load()
@@ -1055,8 +1058,9 @@ class TestFileImage:
         assert str(info.value).count(str(path)) == 1
 
     def test_a_file_truncated_before_its_check_raises_naming_it_once(self, tmp_path):
-        """The header is read whole, then the payload is cut short: loading
-        the frame raises a ValueError that names the file once."""
+        """The header is read whole, then the payload loses its last entry:
+        the frame loads, reading no payload, and register_frame raises a
+        ValueError at its last band that names the file once."""
         proba = random_proba(np.random.default_rng(23), (24, 30, 5), np.float32, False)
         manifest, _ = probimg_frame_files(tmp_path, proba)
         path, read = tmp_path / "p.probimg", fileio.read_probimg
@@ -1068,9 +1072,28 @@ class TestFileImage:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(fileio, "read_probimg", truncating)
-            with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated at byte ") as info:
-                read_frame_records(manifest)[0].load()
+            frame = read_frame_records(manifest)[0].load()
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: truncated at byte "
+                                             rf"{path.stat().st_size}$") as info:
+            register_frame(frame, 0.01)
         assert str(info.value).count(str(path)) == 1
+
+    @pytest.mark.parametrize("bad", [1.5, np.nan])
+    def test_an_entry_written_after_loading_raises_naming_the_file_once(self, tmp_path, bad):
+        """After the frame is loaded, one entry of a pixel that registers is
+        overwritten in place: register_frame checks the bytes it sums, so it
+        raises instead of averaging the entry into its voxel."""
+        proba = random_proba(np.random.default_rng(25), (24, 30, 5), np.float32, False)
+        manifest, _ = probimg_frame_files(tmp_path, proba)
+        frame = read_frame_records(manifest)[0].load()
+        path = tmp_path / "p.probimg"
+        entry = np.ravel_multi_index((10, 7, 2), proba.shape)
+        with open(path, "r+b") as f:
+            f.seek(path.stat().st_size - proba.nbytes + 4 * entry)
+            f.write(np.float32(bad).tobytes())
+        with pytest.raises(ValueError) as info:
+            register_frame(frame, 0.01)
+        assert str(info.value) == f"{path}: probability image entries must lie in [0, 1]"
 
     @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, pickle.dumps])
     def test_an_image_is_not_copied(self, tmp_path, copier):
@@ -1089,8 +1112,9 @@ class TestFileImage:
         """Random depths with invalid pixels, poses and rois; bands of one
         pixel row, a prime number of rows or more than the image; images of
         a prime number of pixels: a frame of a PROBIMG1 file and one of the
-        same image on the heap are checked alike, and give bit-identical
-        codes, means and skip counts."""
+        same image on the heap register alike: the same error, which names
+        the file for the file's frame, or bit-identical codes, means and skip
+        counts."""
         rng = np.random.default_rng(seed)
         proba = random_proba(rng, (h, w, channels), np.float32, negative_zero=False)
         if bad is not None:
@@ -1106,13 +1130,13 @@ class TestFileImage:
         roi = Box3(rng.uniform(-3.0, 0.0, 3), rng.uniform(0.0, 3.0, 3)) if with_roi else None
         resolution, outcomes = rng.uniform(0.05, 0.5), []
         with bands_of(band, proba):
-            for image in (read_probimg(path), proba):
+            for image, where in ((read_probimg(path), f"{path}: "), (proba, "")):
                 try:
-                    frame = make_frame(depth, image, intr, pose)
+                    result = register_frame(make_frame(depth, image, intr, pose), resolution, roi)
                 except ValueError as exc:
-                    outcomes.append(str(exc))
+                    assert str(exc).startswith(where)
+                    outcomes.append(str(exc)[len(where):])
                     continue
-                result = register_frame(frame, resolution, roi)
                 outcomes.append((result.codes.tolist(), result.means.view(np.uint64).tolist(),
                                  result.pixels_skipped_depth, result.pixels_skipped_roi))
         assert outcomes[0] == outcomes[1]
