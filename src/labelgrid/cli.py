@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
@@ -71,8 +72,7 @@ def cmd_fuse(args) -> int:
     grid = LabelOccupancyGrid(args.resolution, args.num_labels, clamp=args.clamp, roi=roi)
     gate = GateConfig(args.linear_eps, args.angular_eps, args.settle_frames)
 
-    on_frame = None
-    written = []
+    on_frame, written, made = None, [], False
     if args.per_frame_snapshots:
         snap_dir = Path(args.per_frame_snapshots)
         # eval reads every .lgrid in the directory, so it holds one run's curve
@@ -82,6 +82,7 @@ def cmd_fuse(args) -> int:
                              f"{snap_dir}, where eval would read it as a frame of the curve")
         if any(snap_dir.glob("*.lgrid")):
             raise ValueError(f"--per-frame-snapshots: {snap_dir} already holds .lgrid files")
+        made = not snap_dir.exists()
         snap_dir.mkdir(parents=True, exist_ok=True)
         # one width per run, so that eval's name order is frame order
         digits = max(4, len(str(len(records) - 1)))
@@ -104,9 +105,12 @@ def cmd_fuse(args) -> int:
         stats = fuse_stream(grid, records, gate, p_min=args.p_min, on_frame=on_frame)
         fileio.save_grid(args.out, grid)
     except BaseException:
-        # a failed run leaves no partial curve behind
+        # a failed run leaves no partial curve, nor the empty directory it made (its parents stay)
         for path in written:
             path.unlink(missing_ok=True)
+        if made:
+            with contextlib.suppress(OSError):
+                snap_dir.rmdir()
         raise
     config = {"resolution": grid.resolution, "num_labels": grid.num_labels,
               "clamp": grid.clamp, "p_min": args.p_min, **dataclasses.asdict(gate),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .geometry import Box3, Pose
 from .grid import LabelOccupancyGrid, pack_keys, unpack_codes
-from .registration import CameraIntrinsics, FileImage, SensorFrame, softmax_image
+from .registration import CameraIntrinsics, FileImage, SensorFrame
 
 LGRID_MAGIC = b"LGRID1\n"
 # magic, resolution, label count, clamp, roi flag; then :func:`_lgrid_tail`
@@ -108,9 +108,9 @@ def write_probimg(path, values) -> None:
         f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
-def read_probimg(path) -> FileImage:
-    """A PROBIMG1 image as an ``(H, W, C)`` float32 :class:`~labelgrid.registration.FileImage`;
-    only the header is read here, and ``np.asarray`` of the image reads the payload."""
+def read_probimg(path, scores: bool = False) -> FileImage:
+    """A PROBIMG1 image as an ``(H, W, C)`` :class:`~labelgrid.registration.FileImage`, or with
+    ``scores`` its per-pixel softmax; only the header is read, and ``np.asarray`` reads the rest."""
     with open(path, "rb") as f:
         line = f.readline(_PROBIMG_HEADER_MAX)
         if not line.endswith(b"\n"):
@@ -123,7 +123,7 @@ def read_probimg(path) -> FileImage:
         size, expected = os.fstat(f.fileno()).st_size - len(line), h * w * c * 4
         if size != expected:
             raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")
-        return FileImage(path, os.dup(f.fileno()), len(line), (h, w, c))
+        return FileImage(path, os.dup(f.fileno()), len(line), (h, w, c), scores)
 
 
 # --- grid snapshots (LGRID1) ---------------------------------------------
@@ -381,13 +381,13 @@ def _check_frame_record(record) -> tuple[Pose, CameraIntrinsics, float, str]:
 
 
 def load_frame(record: dict, base_dir) -> SensorFrame:
-    """Materialize one manifest record into a SensorFrame, softmaxing a ``logits_file``.
+    """Materialize one manifest record into a SensorFrame.
 
-    This is the one place frame images are decoded. A ``proba_file`` stays a
-    float32 ``FileImage``, whose values ``register_frame`` checks as it reads
-    them. A bad record raises ``ValueError`` naming the field, a depth image of
-    the wrong size one naming that image, and any other invalid frame one
-    naming the probability or logit image.
+    This is the one place frame images are opened. Either stays a ``FileImage``,
+    read band by band where ``register_frame`` checks it; a ``logits_file``'s
+    bands are softmaxed as they are read. A bad record raises ``ValueError`` naming
+    the field, a depth image of the wrong size one naming that image, and any other
+    invalid frame one naming the probability or logit image.
     """
     base = Path(base_dir)
     pose, intr, timestamp, image = _check_frame_record(record)
@@ -397,15 +397,11 @@ def load_frame(record: dict, base_dir) -> SensorFrame:
         raise ValueError(f"{depth_path}: depth shape {depth.shape} does not match "
                          f"intrinsics {(intr.height, intr.width)}")
     image_path = base / record[image]
-    values = read_probimg(image_path)
+    proba = read_probimg(image_path, scores=image == "logits_file")
     try:
-        proba = softmax_image(values) if image == "logits_file" else values
         return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr,
                            proba=proba)
     except ValueError as exc:
-        # a short read of the image names it already
-        if str(exc).startswith(f"{image_path}: "):
-            raise
         raise ValueError(f"{image_path}: {exc}") from None
 
 

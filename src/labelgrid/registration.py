@@ -45,42 +45,53 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
+def _softmax_rows(rows: np.ndarray, first: int, width: int, where: str = "") -> None:
+    """Softmax in place each float64 row of ``rows``, the class scores of pixels ``first`` on in
+    an image ``width`` wide; a non-finite one raises ``ValueError`` naming its whole-image pixel."""
+    if not np.isfinite(rows).all():
+        p, c = np.argwhere(~np.isfinite(rows))[0]
+        v, u = divmod(first + int(p), width)
+        raise ValueError(f"{where}non-finite score at pixel (row={v}, col={u}, channel={c})")
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+
+
 def softmax_image(logits) -> np.ndarray:
     """Per-pixel softmax of an (H, W, C) score image, max-subtracted, in place on a float64 copy."""
-    arr = np.array(logits, dtype=float)
+    arr = np.array(logits, dtype=float, order="C")
     if arr.ndim != 3:
         raise ValueError(f"expected an (H, W, C) score image, got shape {arr.shape}")
-    finite = np.isfinite(arr)
-    if not finite.all():
-        v, u, c = np.argwhere(~finite)[0]
-        raise ValueError(f"non-finite score at pixel (row={v}, col={u}, channel={c})")
-    arr -= arr.max(axis=2, keepdims=True)
-    np.exp(arr, out=arr)
-    arr /= arr.sum(axis=2, keepdims=True)
+    _softmax_rows(arr.reshape(-1, arr.shape[2]), 0, arr.shape[1])
     return arr
 
 
 class FileImage:
-    """An ``(H, W, C)`` float32 image that :func:`~labelgrid.fileio.read_probimg` opened, read
-    on demand through its own descriptor, closed when the image is freed: :func:`register_frame`
-    reads and checks each band once, and ``np.asarray`` reads it whole. A short read, from a
-    file truncated since, raises ``ValueError`` naming the file."""
+    """An ``(H, W, C)`` image that :func:`~labelgrid.fileio.read_probimg` opened, read on demand
+    through its own descriptor, closed when the image is freed: :func:`register_frame` reads
+    and checks each band once, and ``np.asarray`` reads it whole. Its file holds float32
+    probabilities, or with ``scores`` class scores, which it reads as float64 and softmaxes per
+    pixel. A short read, from a file truncated since, or a non-finite score raises
+    ``ValueError`` naming the file."""
 
-    dtype = np.dtype("<f4")
-
-    def __init__(self, path, fd: int, offset: int, shape: tuple[int, int, int]) -> None:
+    def __init__(self, path, fd: int, offset: int, shape: tuple, scores: bool) -> None:
         self.path, self.offset, self.shape, self._fd = path, offset, shape, fd
+        self.dtype, self._scores = np.dtype(float if scores else "<f4"), scores
         weakref.finalize(self, os.close, fd)
 
     def read(self, out: np.ndarray, start: int) -> np.ndarray:
         """``out``, C-contiguous rows, read from row ``start`` on in as many reads as needed."""
-        view = out.reshape(-1).view(np.uint8)
-        offset = self.offset + start * self.shape[2] * self.dtype.itemsize
+        raw = np.empty(out.shape, "<f4") if self._scores else out
+        view = raw.reshape(-1).view(np.uint8)
+        offset = self.offset + start * self.shape[2] * raw.itemsize
         while view.size:
             got = os.preadv(self._fd, [view], offset)
             if got == 0:
                 raise ValueError(f"{self.path}: truncated at byte {offset}")
             view, offset = view[got:], offset + got
+        if self._scores:
+            out[...] = raw
+            _softmax_rows(out.reshape(-1, self.shape[2]), start, self.shape[1], f"{self.path}: ")
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -94,12 +105,11 @@ class FileImage:
 class SensorFrame:
     """One measurement: depth + per-pixel class probabilities + pose.
 
-    ``proba`` is an ``(H, W, C)`` image of C >= 2 class probabilities. A
-    float32 image (as PROBIMG1 decodes) stays float32, any other is
-    widened to float64. Building a frame checks shapes, not values, and
-    reads no probability: :func:`register_frame` checks that each pixel is
-    a simplex as it reads the image. Raw class scores are turned into
-    probabilities with :func:`softmax_image` before a frame is built.
+    ``proba`` is an ``(H, W, C)`` image of C >= 2 class probabilities: a float32
+    array stays float32, any other is widened to float64, and a :class:`FileImage`,
+    which softmaxes a file of class scores band by band, stays one. Building a frame
+    checks shapes; :func:`register_frame` checks that each pixel is a simplex as it
+    reads the image. Raw class scores in an array go through :func:`softmax_image`.
     """
 
     timestamp: float
@@ -117,7 +127,7 @@ class SensorFrame:
         if self.depth.shape != shape:
             raise ValueError(f"depth shape {self.depth.shape} does not match intrinsics {shape}")
         image = self.proba if isinstance(self.proba, FileImage) else np.asarray(self.proba)
-        if image.dtype not in (np.float32, FileImage.dtype):
+        if image.dtype not in (np.float32, np.float64):
             image = image.astype(float, copy=False)
         if len(image.shape) != 3 or image.shape[:2] != shape:
             raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")

@@ -9,6 +9,7 @@ peek under and around it. Box faces are deliberately offset from the
 
 import json
 
+import numpy as np
 import pytest
 
 from labelgrid import Box3, CameraIntrinsics, look_at
@@ -115,3 +116,19 @@ def write_cli_inputs(tmp_path, transition_frames: int = 0) -> dict:
     paths["trajectory"].write_text(json.dumps(trajectory_json(transition_frames), indent=2))
     paths["boxes"].write_text(json.dumps(gt_boxes_json(), indent=2))
     return paths
+
+
+def write_logits_stream(manifest):
+    """A copy of a ``proba_file`` manifest, beside it, whose records name
+    ``logits_file`` images of the float32 logs of their probabilities; returns
+    its path."""
+    from labelgrid.fileio import read_manifest, read_probimg, write_manifest, write_probimg
+
+    records = read_manifest(manifest)
+    for record in records:
+        name = record.pop("proba_file")
+        record["logits_file"] = f"logits_{name}"
+        write_probimg(manifest.parent / record["logits_file"],
+                      np.log(np.asarray(read_probimg(manifest.parent / name))))
+    write_manifest(manifest.with_name("logits.json"), records)
+    return manifest.with_name("logits.json")

@@ -133,6 +133,28 @@ def oracle_eager_fuse(manifest, grid, gate, p_min) -> list:
     return snapshots
 
 
+def oracle_logits_fuse(manifest, grid, gate, p_min) -> list:
+    """LGRID1 bytes of ``grid`` after each frame of a ``logits_file`` stream,
+    fusing the way ``fuse`` did before it softmaxed band by band: every score
+    image read whole with ``np.fromfile`` and softmaxed whole by
+    ``softmax_image``."""
+    import dataclasses
+
+    from labelgrid import fileio, fuse_stream, softmax_image
+
+    frames = []
+    for record in fileio.read_manifest(manifest):
+        with open(manifest.parent / record["logits_file"], "rb") as f:
+            shape = [int(size) for size in f.readline().split()[1:]]
+            scores = np.fromfile(f, dtype="<f4").reshape(shape)
+        frame = fileio.load_frame(record, manifest.parent)
+        frames.append(dataclasses.replace(frame, proba=softmax_image(scores)))
+    snapshots = []
+    fuse_stream(grid, frames, gate, p_min=p_min,
+                on_frame=lambda index, frame, fused: snapshots.append(fileio.grid_to_bytes(grid)))
+    return snapshots
+
+
 def oracle_ray_box_depth(origin, dirs, box):
     """Slab-method hit parameter per ray of an ``(N, 3)`` direction array, inf for misses."""
     bmin = np.asarray(box.min)

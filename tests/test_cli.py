@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import labelgrid
-from conftest import TARGET_BOX, TARGET_LABEL, write_cli_inputs
+from conftest import TARGET_BOX, TARGET_LABEL, write_cli_inputs, write_logits_stream
 from labelgrid import Box3, fileio, fusion, look_at
 from labelgrid.cli import main
 from labelgrid.fileio import load_grid, read_manifest, save_grid, write_manifest
@@ -249,6 +249,38 @@ class TestFuse:
         # frame 0 is written before frame 1, the first fused one, fails
         assert "frame 1 has 40 labels, but the grid has 5" in err
         assert list(snapdir.glob("*.lgrid")) == []
+        assert not snapdir.exists()
+
+    def test_failed_fuse_keeps_a_snapshot_directory_it_did_not_make(self, sim_run, tmp_path,
+                                                                    capsys):
+        """A directory that was there before the run stays, empty, and so do
+        the parents that the run made for its own directory."""
+        kept, made = tmp_path / "kept", tmp_path / "parent" / "snaps"
+        kept.mkdir()
+        for snapdir in (kept, made):
+            code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,
+                                   "--per-frame-snapshots", snapdir, "--out", tmp_path / "g.lgrid")
+            assert code == 2 and "frame 1 has 40 labels, but the grid has 5" in err
+        assert kept.is_dir() and list(kept.iterdir()) == []
+        assert not made.exists() and made.parent.is_dir()
+
+    def test_failed_fuse_keeps_a_directory_it_made_that_another_writer_filled(self, sim_run,
+                                                                             tmp_path, capsys):
+        """A file written into the run's new directory during the run keeps
+        the directory, and fuse still reports its own error."""
+        snapdir = tmp_path / "snaps"
+
+        def writing(frame, *args):
+            (snapdir / "notes.txt").write_text("another writer")
+            raise ValueError("the first fused frame fails")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fusion, "register_frame", writing)
+            code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--per-frame-snapshots",
+                                   snapdir, "--out", tmp_path / "g.lgrid")
+        assert code == 2
+        assert err == "error: the first fused frame fails\n"
+        assert [p.name for p in snapdir.iterdir()] == ["notes.txt"]
 
 
     def test_out_on_a_hard_link_leaves_the_linked_snapshot_alone(self, sim_run, tmp_path,
@@ -407,7 +439,25 @@ class TestStreamingFuse:
                                    snapdir, "--out", tmp_path / "grid.lgrid")
         assert code == 2
         assert err == f"error: {path}: probability image entries must lie in [0, 1]\n"
-        assert list(snapdir.iterdir()) == [] and not (tmp_path / "grid.lgrid").exists()
+        assert not snapdir.exists() and not (tmp_path / "grid.lgrid").exists()
+
+    def test_a_non_finite_score_in_a_fused_frame_exits_2_naming_the_file_once(self, sim_run,
+                                                                              tmp_path, capsys):
+        """The logits twin of the NaN probability above: the score is read
+        where the first fused frame is registered, in its second band, and
+        fuse exits 2 naming the file once and leaving no snapshot behind."""
+        manifest = write_logits_stream(sim_run["manifest"])
+        # the default gate fuses from the second still frame on
+        path = manifest.parent / read_manifest(manifest)[1]["logits_file"]
+        scores = np.asarray(fileio.read_probimg(path))
+        scores[60, 3, 4] = np.inf
+        fileio.write_probimg(path, scores)
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", manifest, "--per-frame-snapshots", snapdir,
+                               "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert err == f"error: {path}: non-finite score at pixel (row=60, col=3, channel=4)\n"
+        assert not snapdir.exists() and not (tmp_path / "grid.lgrid").exists()
 
     def test_label_count_mismatch_exits_2_naming_the_frame(self, sim_run, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,
@@ -484,6 +534,24 @@ class TestStreamingFuse:
         grid = LabelOccupancyGrid(RESOLUTION, NUM_LABELS, clamp=3.5, roi=BIN_ROI)
         expected = oracle_eager_fuse(manifest, grid, GateConfig(), p_min=1e-3)
         assert len(expected) == 22
+        assert [p.read_bytes() for p in sorted(snapdir.glob("*.lgrid"))] == expected
+        assert (tmp_path / "grid.lgrid").read_bytes() == expected[-1]
+
+    def test_a_logits_stream_matches_the_whole_image_softmax_oracle(self, tmp_path, capsys):
+        """Scores softmaxed band by band as register_frame reads them write the
+        per-frame and final snapshots of softmaxing each image whole."""
+        from conftest import BIN_ROI, NUM_LABELS, RESOLUTION
+        from labelgrid import GateConfig
+        from oracles import oracle_logits_fuse
+
+        manifest = write_logits_stream(simulate_stream(tmp_path, capsys, 2)["manifest"])
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", manifest, "--roi", ROI_ARG,
+                               "--per-frame-snapshots", snapdir, "--out", tmp_path / "grid.lgrid")
+        assert code == 0, err
+        grid = LabelOccupancyGrid(RESOLUTION, NUM_LABELS, clamp=3.5, roi=BIN_ROI)
+        expected = oracle_logits_fuse(manifest, grid, GateConfig(), p_min=1e-3)
+        assert len(expected) == 22 and len(set(expected)) > 2
         assert [p.read_bytes() for p in sorted(snapdir.glob("*.lgrid"))] == expected
         assert (tmp_path / "grid.lgrid").read_bytes() == expected[-1]
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelgrid import (Box3, CameraIntrinsics, LabelOccupancyGrid, Pose,
+from labelgrid import (Box3, CameraIntrinsics, LabelOccupancyGrid, Pose, register_frame,
                        softmax_image)
 from labelgrid.fileio import (grid_from_bytes, grid_to_bytes, load_frame,
                               load_grid, pose_record, read_depth_pgm,
@@ -667,12 +667,13 @@ class TestManifestAndFrames:
         expected = softmax_image(read_probimg(tmp_path / "scores.probimg"))
         assert np.array_equal(frame.proba, expected)
 
-    def test_non_finite_logit_rejected_at_load(self, tmp_path):
+    def test_non_finite_logit_rejected_at_registration(self, tmp_path):
         scores = np.zeros((3, 4, 5))
         scores[1, 2, 3] = np.inf
         record = self.logits_record(tmp_path, scores)
-        with pytest.raises(ValueError, match=r"non-finite score at pixel \(row=1, col=2"):
-            load_frame(record, tmp_path)
+        path = re.escape(str(tmp_path / "scores.probimg"))
+        with pytest.raises(ValueError, match=rf"^{path}: non-finite score at pixel \(row=1, col=2"):
+            register_frame(load_frame(record, tmp_path), 0.01)
 
     def test_record_without_image_rejected(self, tmp_path):
         record = self.logits_record(tmp_path, np.zeros((3, 4, 5)))
