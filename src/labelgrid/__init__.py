@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # root name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(["FusionStats", "GateConfig", "camera_velocity", "fuse_stream"],
-                    "fusion"),
+    **dict.fromkeys(["FusionStats", "GateConfig", "GateState", "camera_velocity", "fuse_stream",
+                     "gate_step"], "fusion"),
     **dict.fromkeys(["Box3", "Pose", "look_at", "rotation_angle"], "geometry"),
     **dict.fromkeys(["LabelOccupancyGrid", "logit", "probability", "voxel_center"], "grid"),
     **dict.fromkeys(["ConfusionMatrix", "IouReport", "confusion", "iou_3d", "mean_iu",

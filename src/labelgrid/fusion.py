@@ -4,13 +4,15 @@ Frames are fused into the grid only while the camera is at rest: a frame
 passes the gate when it and the preceding ``settle_frames - 1`` frames
 all show linear and angular velocity at or below the configured
 thresholds. The very first frame of a stream counts as stationary.
+:func:`gate_step` advances the gate by one frame, from ``GateState()`` at
+the start of a stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterable, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -75,6 +77,27 @@ def camera_velocity(prev_pose: Pose, prev_time: float,
     return linear, angular
 
 
+class GateState(NamedTuple):
+    """The last frame's timestamp and pose, and the run of still frames it ends."""
+
+    timestamp: Optional[float] = None
+    pose: Optional[Pose] = None
+    still_run: int = 0
+
+
+def gate_step(state: GateState, timestamp: float, pose: Pose,
+              gate: GateConfig) -> tuple[GateState, bool]:
+    """The gate's state after a frame at ``timestamp`` and ``pose``, and
+    whether that frame fuses; a frame not after ``state`` is an error."""
+    if state.pose is None:
+        still = True
+    else:
+        linear, angular = camera_velocity(state.pose, state.timestamp, pose, timestamp)
+        still = linear <= gate.linear_eps and angular <= gate.angular_eps
+    run = state.still_run + 1 if still else 0
+    return GateState(timestamp, pose, run), run >= gate.settle_frames
+
+
 def fuse_stream(grid: LabelOccupancyGrid,
                 frames: Iterable[StreamItem],
                 gate: GateConfig = GateConfig(),
@@ -95,24 +118,13 @@ def fuse_stream(grid: LabelOccupancyGrid,
     if not 0.0 < p_min < 0.5:
         raise ValueError(f"p_min must lie in (0, 0.5), got {p_min}")
     stats = FusionStats()
-    prev: Optional[StreamItem] = None
-    stationary_run = 0
+    state = GateState()
     for index, item in enumerate(frames):
-        # a NaN timestamp compares false both ways, so it fails this test
-        if prev is not None and not item.timestamp > prev.timestamp:
-            raise ValueError(
-                f"frame {index} timestamp {item.timestamp} is not after "
-                f"frame {index - 1} ({prev.timestamp})")
-        if prev is None:
-            stationary = True
-        else:
-            linear, angular = camera_velocity(prev.pose, prev.timestamp,
-                                              item.pose, item.timestamp)
-            stationary = linear <= gate.linear_eps and angular <= gate.angular_eps
-        stationary_run = stationary_run + 1 if stationary else 0
-
+        try:
+            state, fused = gate_step(state, item.timestamp, item.pose, gate)
+        except ValueError as exc:
+            raise ValueError(f"frame {index}: {exc}") from None
         stats.frames_total += 1
-        fused = stationary_run >= gate.settle_frames
         if fused:
             frame = item.load()
             if frame.num_labels != grid.num_labels:
@@ -132,5 +144,4 @@ def fuse_stream(grid: LabelOccupancyGrid,
             stats.frames_gated += 1
         if on_frame is not None:
             on_frame(index, item, fused)
-        prev = item
     return stats

@@ -119,7 +119,7 @@ class SensorFrame:
     proba: np.ndarray | FileImage
 
     def __post_init__(self) -> None:
-        # a NaN timestamp would make the gate treat every later frame as moving
+        # the gate rejects a NaN next to another frame's time; a one-frame stream has none
         if not math.isfinite(self.timestamp):
             raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
         self.depth = np.asarray(self.depth, dtype=float)

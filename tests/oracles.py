@@ -7,7 +7,8 @@ the ``(N, 3)`` slab test and the ``(N, L)`` noise model that render every
 frame on its own. ``oracle_world`` deprojects a whole frame as one ``(N, 3)``
 array, as registration did before it banded the pixels.
 The frame check sums every pixel's channels in float64, as ``SensorFrame``
-did before its float32 pass.
+did before its float32 pass. ``oracle_gate`` is the velocity gate's window
+rule as the fusion module documents it.
 """
 
 import struct
@@ -114,6 +115,15 @@ def oracle_lgrid_bytes(cells: dict, resolution, num_labels, clamp, roi) -> bytes
         parts.append(struct.pack("<3i", *key))
         parts.append(np.asarray(cells[key], dtype="<f4").tobytes())
     return b"".join(parts)
+
+
+def oracle_gate(still, settle_frames) -> list:
+    """Whether each frame fuses, given whether it is still: a frame fuses
+    when it and the ``settle_frames - 1`` frames before it are still, and the
+    first frame counts as still whatever ``still[0]`` says."""
+    still = [True] + list(still[1:])
+    return [i >= settle_frames - 1 and all(still[i - settle_frames + 1:i + 1])
+            for i in range(len(still))]
 
 
 def oracle_eager_fuse(manifest, grid, gate, p_min) -> list:

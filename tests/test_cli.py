@@ -380,6 +380,23 @@ class TestStreamingFuse:
         assert "record 0: field 'timestamp' is 100.0 but pose.timestamp is 0.0" in err
         assert not snapdir.exists()
 
+    def test_a_stalled_clock_exits_2_naming_the_frame(self, sim_run, tmp_path, capsys):
+        """Record 2 repeats record 1's time in both fields, so the records
+        agree and the gate's order check fails after frames 0 and 1 are
+        written; their snapshots and the directory go."""
+        records = read_manifest(sim_run["manifest"])
+        stalled = records[1]["pose"]["timestamp"]
+        records[2]["pose"]["timestamp"] = records[2]["timestamp"] = stalled
+        manifest = sim_run["stream"] / "bad.json"
+        write_manifest(manifest, records)
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", manifest, "--per-frame-snapshots", snapdir,
+                               "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert f"frame 2: time must advance, got {stalled} -> {stalled}" in err
+        assert not snapdir.exists()
+        assert not (tmp_path / "grid.lgrid").exists()
+
     def test_nan_probability_in_a_fused_frame_exits_2_naming_the_file(self, sim_run,
                                                                        tmp_path, capsys):
         path = sim_run["stream"] / read_manifest(sim_run["manifest"])[-1]["proba_file"]

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelgrid import (CameraIntrinsics, GateConfig, LabelOccupancyGrid, Pose,
-                       SensorFrame, camera_velocity, fuse_stream, register_frame)
+from labelgrid import (CameraIntrinsics, GateConfig, GateState, LabelOccupancyGrid, Pose,
+                       SensorFrame, camera_velocity, fuse_stream, gate_step, register_frame)
 from labelgrid.fileio import grid_to_bytes
 from labelgrid.grid import unpack_codes
+from oracles import oracle_gate
 
 INTR = CameraIntrinsics(fx=16.0, fy=16.0, cx=8.0, cy=8.0, width=16, height=16)
 
@@ -125,12 +126,13 @@ class TestFuseStream:
 
     def test_nan_timestamp_names_the_frame(self):
         """A NaN compares false both ways, so an ``<=`` test would let it and
-        every later frame through; plain items skip SensorFrame's checks."""
+        every later frame through; plain items skip SensorFrame's checks.
+        ``camera_velocity``'s check is the only one, and the stream names the frame."""
         loaded = []
         items = [SimpleNamespace(timestamp=t, pose=Pose.identity(),
                                  load=lambda t=t: loaded.append(t))
                  for t in (0.0, 1.0, math.nan, 3.0)]
-        with pytest.raises(ValueError, match="^frame 2 timestamp nan is not after frame 1"):
+        with pytest.raises(ValueError, match=r"^frame 2: time must advance, got 1\.0 -> nan$"):
             fuse_stream(LabelOccupancyGrid(0.5, 2), items, GateConfig(settle_frames=3))
         assert loaded == []
 
@@ -265,14 +267,13 @@ def test_bin_scene_matches_per_voxel_oracle():
 TINY = CameraIntrinsics(fx=2.0, fy=2.0, cx=1.0, cy=1.0, width=2, height=2)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(1, 1000), st.sampled_from(["still", "slide", "turn"])),
-                min_size=1, max_size=12),
-       st.integers(1, 4))
-def test_gate_fuses_after_settle_frames_still_frames(steps, settle):
-    """Frame i fuses iff frames i - settle + 1 .. i all exist and are
-    stationary; the first frame counts as stationary."""
-    frames, stationary = [], []
+STEPS = st.lists(st.tuples(st.integers(1, 1000), st.sampled_from(["still", "slide", "turn"])),
+                 min_size=1, max_size=12)
+
+
+def gate_stream(steps):
+    """Frames ``(step_ms, motion)`` apart, and whether each one is still."""
+    frames, still = [], []
     t, angle, x = 0.0, 0.0, 0.0
     for index, (step_ms, motion) in enumerate(steps):
         if index:
@@ -280,12 +281,20 @@ def test_gate_fuses_after_settle_frames_still_frames(steps, settle):
             # a move of 0.05 m or 0.1 rad within at most 1 s is far above 1e-3
             x += 0.05 if motion == "slide" else 0.0
             angle += 0.1 if motion == "turn" else 0.0
-        stationary.append(index == 0 or motion == "still")
+        still.append(motion == "still")
         frames.append(SensorFrame(timestamp=t, depth=np.ones((2, 2)),
                                   pose=Pose(rot_z(angle), [x, 0.0, 0.0]), intrinsics=TINY,
                                   proba=np.full((2, 2, 2), 0.5)))
-    expected = [i >= settle - 1 and all(stationary[i - settle + 1:i + 1])
-                for i in range(len(frames))]
+    return frames, still
+
+
+@settings(max_examples=100, deadline=None)
+@given(STEPS, st.integers(1, 4))
+def test_gate_fuses_after_settle_frames_still_frames(steps, settle):
+    """Frame i fuses iff frames i - settle + 1 .. i all exist and are
+    stationary; the first frame counts as stationary."""
+    frames, still = gate_stream(steps)
+    expected = oracle_gate(still, settle)
 
     seen = []
     stats = fuse_stream(LabelOccupancyGrid(0.5, 2), frames, GateConfig(settle_frames=settle),
@@ -296,3 +305,36 @@ def test_gate_fuses_after_settle_frames_still_frames(steps, settle):
     assert stats.frames_total == len(frames)
     assert stats.frames_fused == sum(expected)
     assert stats.frames_gated == len(frames) - sum(expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(STEPS, st.integers(1, 4), st.data())
+def test_gate_step_resumes_from_any_split(steps, settle, data):
+    """Folding ``gate_step`` over a stream's second part from its first
+    part's final state gives the one-pass decisions, which are the window
+    rule's and ``fuse_stream``'s; a gated item is never loaded."""
+    frames, still = gate_stream(steps)
+    split = data.draw(st.integers(0, len(frames)), label="split")
+    gate = GateConfig(settle_frames=settle)
+
+    def fold(state, part):
+        decisions = []
+        for frame in part:
+            state, fused = gate_step(state, frame.timestamp, frame.pose, gate)
+            decisions.append(fused)
+        return state, decisions
+
+    _, one_pass = fold(GateState(), frames)
+    state, head = fold(GateState(), frames[:split])
+    _, tail = fold(state, frames[split:])
+    assert head + tail == one_pass
+    assert one_pass == oracle_gate(still, settle)
+
+    loaded, seen = [], []
+    items = [SimpleNamespace(timestamp=frame.timestamp, pose=frame.pose,
+                             load=lambda i=i, frame=frame: loaded.append(i) or frame)
+             for i, frame in enumerate(frames)]
+    fuse_stream(LabelOccupancyGrid(0.5, 2), items, gate,
+                on_frame=lambda i, item, fused: seen.append(fused))
+    assert seen == one_pass
+    assert loaded == [i for i, fused in enumerate(one_pass) if fused]
