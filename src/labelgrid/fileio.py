@@ -371,6 +371,8 @@ def _check_frame_record(record) -> tuple[Pose, CameraIntrinsics, float, str]:
         if top_level != timestamp:
             raise ValueError(f"field 'timestamp' is {top_level!r} but "
                              f"pose.timestamp is {timestamp!r}")
+    if "proba_file" in record and "logits_file" in record:
+        raise ValueError("names both a proba_file and a logits_file")
     if "proba_file" not in record and "logits_file" not in record:
         raise ValueError("needs a proba_file or logits_file")
     image = "proba_file" if "proba_file" in record else "logits_file"

@@ -231,8 +231,10 @@ def register_frame(frame: SensorFrame, resolution: float,
     outside [-2**20, 2**20) on any axis raises ``ValueError``.
 
     Pixels are deprojected and binned one band of about 1 MiB at a time,
-    in row-major order, so a key-range error comes first. Then each band
-    of the probability image is read once, into one buffer for a
+    in row-major order, so a key-range error comes first. ``np.unique`` of
+    the frame's voxel codes numbers the voxels, and ``np.searchsorted``
+    gives each band's pixels their voxel's number. Then each band of the
+    probability image is read once, into one buffer for a
     :class:`FileImage`, and checked before its kept pixels' rows join the
     voxel sums carried from band to band. The check raises ``ValueError``,
     naming a FileImage's path, unless every entry lies in [0, 1] (a NaN on
@@ -243,10 +245,9 @@ def register_frame(frame: SensorFrame, resolution: float,
     depth = frame.depth.reshape(-1)
     valid = np.isfinite(depth) & (depth > 0)
     count = int(np.count_nonzero(valid))
-    # a pixel's row within its band stands in for its probability row until the sums
-    pixel = np.empty(count, dtype=np.int64)
-    codes = np.empty(count, dtype=np.int64)
-    kept, ends = 0, []
+    # per band: each kept pixel's row within the band, which stands in for its
+    # probability row until the sums, and its voxel code
+    pixels, codes = [], []
     for start, stop in _bands(frame.proba):
         at = np.flatnonzero(valid[start:stop])
         at += start
@@ -274,29 +275,12 @@ def register_frame(frame: SensorFrame, resolution: float,
                 center = voxel_center(keys[:, axis], resolution)
                 keep &= (center >= roi.min[axis]) & (center <= roi.max[axis])
             at, keys = at[keep], keys[keep]
-        n = at.shape[0]
-        np.subtract(at, start, out=pixel[kept:kept + n])
-        del at
-        codes[kept:kept + n] = pack_keys(keys)
-        kept += n
-        ends.append(kept)
+        at -= start
+        pixels.append(at)
+        codes.append(pack_keys(keys))
     del valid, keys
-    # the roi may have cut most pixels: hold only the kept ones from here on
-    pixel = pixel[:kept].copy()
-
-    # run is each pixel's voxel index; the pixels stay in row-major order
-    order = np.argsort(codes[:kept])
-    codes = codes[order]
-    # codes are >= 0, so the first always starts a run, and no keys give no runs
-    new = np.diff(codes, prepend=-1) != 0
-    index = np.cumsum(new)
-    index -= 1
-    run = np.empty_like(order)
-    run[order] = index
-    counts = np.bincount(index)
-    codes = codes[new]
-    del order, new, index
-    sums, image = np.zeros((codes.shape[0], frame.num_labels)), frame.proba
+    voxels, counts = np.unique(np.concatenate(codes), return_counts=True)
+    sums, image = np.zeros((voxels.shape[0], frame.num_labels)), frame.proba
     where = f"{image.path}: " if isinstance(image, FileImage) else ""
     # A channel sum in the image's dtype is off from the exact sum of L entries in [0, 1] by
     # at most gamma_L * sum, whatever the order of additions (Higham 2002, sections 3.1 and
@@ -306,9 +290,9 @@ def register_frame(frame: SensorFrame, resolution: float,
     # deviation, which is the image's worst when it exceeds 1e-5. On a 2-core Xeon VM,
     # einsum took 1.0 ms on a 320x240x40 float32 image and a BLAS row sum 0.6 ms, but CLI
     # fuse of the transit-320 benchmark stream peaked 0.4 MB higher with BLAS.
-    read, lo = _band_reader(image), 0
+    read = _band_reader(image)
     eps, worst = float(np.finfo(image.dtype).eps), 0.0
-    for (start, stop), hi in zip(_bands(image), ends):
+    for (start, stop), pixel, band_codes in zip(_bands(image), pixels, codes):
         band = read(start, stop)
         # written so that a NaN entry, which fails every comparison, is rejected
         if not (band.min() >= 0.0 and band.max() <= 1.0):
@@ -318,10 +302,10 @@ def register_frame(frame: SensorFrame, resolution: float,
         del fast
         if max(1.0 - low, high - 1.0) + image.shape[2] * eps * max(1.0, high) + 1e-12 > 1e-5:
             worst = max(worst, float(np.abs(band.sum(axis=1, dtype=np.float64) - 1.0).max()))
-        if lo < hi:
-            _add_runs(sums, band, pixel[lo:hi], run[lo:hi])
-        lo = hi
+        if pixel.shape[0]:
+            # a pixel's run is its voxel's index among the sorted codes
+            _add_runs(sums, band, pixel, np.searchsorted(voxels, band_codes))
     if worst > 1e-5:
         raise ValueError(f"{where}probability image channel sums deviate from 1 by {worst:.3g}")
     sums /= counts[:, None]
-    return RegistrationResult(codes, sums, int(depth.size - count), count - kept)
+    return RegistrationResult(voxels, sums, int(depth.size - count), count - int(counts.sum()))

@@ -348,14 +348,16 @@ class TestStreamingFuse:
         ("rotation", ["one"] * 9, "record 3: pose: field 'rotation' must be a list of 9 numbers"),
         ("timestamp", math.nan, "record 3: pose: field 'timestamp' must be a number, got nan"),
         ("fx", math.inf, "record 3: pose: field 'fx' must be a number, got inf"),
+        # the record keeps its proba_file; the named logits_file does not exist
+        ("logits_file", "missing.probimg", "record 3: names both a proba_file and a logits_file"),
     ])
     def test_mistyped_record_exits_2_before_any_snapshot(self, sim_run, tmp_path, capsys,
                                                          field, value, message):
         records = read_manifest(sim_run["manifest"])
         if field is None:
             records[3] = value
-        elif field == "pose":
-            records[3]["pose"] = value
+        elif field in ("pose", "logits_file"):
+            records[3][field] = value
         else:
             records[3]["pose"][field] = value
         manifest = sim_run["stream"] / "bad.json"

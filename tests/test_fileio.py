@@ -713,6 +713,8 @@ class TestManifestAndFrames:
          "record 1: pose: field 'rotation' must be a list of 9 numbers"),
         (lambda r: r.pop("pose"), "record 1: pose: must be a JSON object, got None"),
         (lambda r: r.pop("logits_file"), "record 1: needs a proba_file or logits_file"),
+        (lambda r: r.update(proba_file="scores.probimg"),
+         "record 1: names both a proba_file and a logits_file"),
         (lambda r: r.update(depth_file=3), "record 1: field 'depth_file' must be a file name"),
         (lambda r: r.update(timestamp=True), "record 1: field 'timestamp' must be a number"),
         (lambda r: r.update(timestamp=0.5),

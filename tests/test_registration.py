@@ -362,16 +362,18 @@ def test_frame_check_peak_memory_per_pixel():
     assert peak / depth.size < 8
 
 
-@pytest.mark.parametrize("channels, bound", [(2, 100), (40, 64)])
-@pytest.mark.parametrize("with_roi", [False, True])
+@pytest.mark.parametrize("channels, with_roi, bound", [
+    (2, False, 78), (2, True, 71), (40, False, 37), (40, True, 23)])
 def test_register_frame_peak_memory_per_pixel(with_roi, channels, bound):
     """The deprojection fills one (N, 3) float64 buffer per band in place
-    and drops each temporary once it is dead, and the voxel runs keep one
-    int64 index per pixel: an all-valid 320x240 frame peaks at 81 traced
-    bytes per pixel with two channels in one band (82 with the roi), and at
-    41 with 40 channels in 12 bands (25 with the roi), where whole-frame
-    deprojection peaked at 72 and one temporary per whole-array expression
-    at 133-145."""
+    and drops each temporary once it is dead, and each band's kept pixels
+    and voxel codes are held only once that band is binned: an all-valid
+    320x240 frame peaks at 73 traced bytes per pixel with two channels in
+    one band (66 with the roi), and at 34 with 40 channels in 12 bands (21
+    with the roi). Each bound is that peak plus 6-9 %. Frame-sized pixel and
+    code buffers filled band by band peaked at 81, 82, 41 and 25,
+    whole-frame deprojection at 72 and one temporary per whole-array
+    expression at 133-145."""
     intr = CameraIntrinsics(fx=300.0, fy=300.0, cx=160.0, cy=120.0, width=320, height=240)
     c, s = math.cos(0.3), math.sin(0.3)
     pose = Pose(np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]]), np.array([0.1, 0.2, 0.3]))
