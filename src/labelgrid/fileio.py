@@ -398,13 +398,8 @@ def load_frame(record: dict, base_dir) -> SensorFrame:
     if depth.shape != (intr.height, intr.width):
         raise ValueError(f"{depth_path}: depth shape {depth.shape} does not match "
                          f"intrinsics {(intr.height, intr.width)}")
-    image_path = base / record[image]
-    proba = read_probimg(image_path, scores=image == "logits_file")
-    try:
-        return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr,
-                           proba=proba)
-    except ValueError as exc:
-        raise ValueError(f"{image_path}: {exc}") from None
+    return SensorFrame(timestamp=timestamp, depth=depth, pose=pose, intrinsics=intr,
+                       proba=read_probimg(base / record[image], scores=image == "logits_file"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@
 Frames are fused into the grid only while the camera is at rest: a frame
 passes the gate when it and the preceding ``settle_frames - 1`` frames
 all show linear and angular velocity at or below the configured
-thresholds. The very first frame of a stream counts as stationary.
-:func:`gate_step` advances the gate by one frame, from ``GateState()`` at
-the start of a stream.
+thresholds; the very first frame of a stream counts as stationary. Every
+frame's time must be finite and later than the last. :func:`gate_step`
+advances the gate by one frame, from ``GateState()`` at the start of a stream.
 """
 
 from __future__ import annotations
@@ -88,7 +88,9 @@ class GateState(NamedTuple):
 def gate_step(state: GateState, timestamp: float, pose: Pose,
               gate: GateConfig) -> tuple[GateState, bool]:
     """The gate's state after a frame at ``timestamp`` and ``pose``, and
-    whether that frame fuses; a frame not after ``state`` is an error."""
+    whether that frame fuses; a non-finite time, or one not after ``state``, is an error."""
+    if not math.isfinite(timestamp):
+        raise ValueError(f"time must be finite, got {timestamp}")
     if state.pose is None:
         still = True
     else:

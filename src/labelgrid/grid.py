@@ -164,15 +164,21 @@ class LabelOccupancyGrid:
             raise ValueError(f"clamp must be > 0, got {clamp}")
         if roi is not None and not isinstance(roi, Box3):
             raise TypeError("roi must be a Box3 or None")
-        self._resolution = resolution
-        self.clamp = clamp
-        self.roi = roi
+        self._resolution, self._clamp, self._roi = resolution, clamp, roi
         self._codes = np.empty(0, dtype=np.int64)
         self._values = np.empty((0, num_labels))
 
     @property
     def resolution(self) -> float:
         return self._resolution
+
+    @property
+    def clamp(self) -> float:
+        return self._clamp
+
+    @property
+    def roi(self) -> Optional[Box3]:
+        return self._roi
 
     @property
     def num_labels(self) -> int:

@@ -12,7 +12,6 @@ the roi; the float centers are tested one axis at a time.
 
 from __future__ import annotations
 
-import math
 import os
 import weakref
 from dataclasses import dataclass
@@ -105,11 +104,12 @@ class FileImage:
 class SensorFrame:
     """One measurement: depth + per-pixel class probabilities + pose.
 
-    ``proba`` is an ``(H, W, C)`` image of C >= 2 class probabilities: a float32
-    array stays float32, any other is widened to float64, and a :class:`FileImage`,
-    which softmaxes a file of class scores band by band, stays one. Building a frame
-    checks shapes; :func:`register_frame` checks that each pixel is a simplex as it
-    reads the image. Raw class scores in an array go through :func:`softmax_image`.
+    ``proba`` is an ``(H, W, C)`` image of C >= 2 class probabilities: a float32 array stays
+    float32, any other is widened to float64, and a :class:`FileImage`, which softmaxes a file
+    of class scores band by band, stays one. Building a frame checks shapes, naming a
+    FileImage's path in an error; :func:`register_frame` checks that each pixel is a simplex as
+    it reads the image, and the fusion gate the timestamp. Raw class scores in an array go
+    through :func:`softmax_image`.
     """
 
     timestamp: float
@@ -119,20 +119,19 @@ class SensorFrame:
     proba: np.ndarray | FileImage
 
     def __post_init__(self) -> None:
-        # the gate rejects a NaN next to another frame's time; a one-frame stream has none
-        if not math.isfinite(self.timestamp):
-            raise ValueError(f"timestamp must be finite, got {self.timestamp!r}")
         self.depth = np.asarray(self.depth, dtype=float)
         shape = (self.intrinsics.height, self.intrinsics.width)
         if self.depth.shape != shape:
             raise ValueError(f"depth shape {self.depth.shape} does not match intrinsics {shape}")
         image = self.proba if isinstance(self.proba, FileImage) else np.asarray(self.proba)
+        where = f"{image.path}: " if isinstance(image, FileImage) else ""
         if image.dtype not in (np.float32, np.float64):
             image = image.astype(float, copy=False)
         if len(image.shape) != 3 or image.shape[:2] != shape:
-            raise ValueError(f"channel image shape {image.shape} does not match intrinsics {shape}")
+            raise ValueError(f"{where}channel image shape {image.shape} does not match "
+                             f"intrinsics {shape}")
         if image.shape[2] < 2:
-            raise ValueError("channel image needs at least two classes")
+            raise ValueError(f"{where}channel image needs at least two classes")
         self.proba = image
 
     @property

@@ -22,6 +22,8 @@ from labelgrid.cli import main as cli_main
 from labelgrid.fileio import grid_to_bytes
 from labelgrid.simulator import NoiseModel, render_scene, simulate_frames
 
+pytestmark = pytest.mark.kernels
+
 INTR = CameraIntrinsics(fx=64.0, fy=64.0, cx=32.0, cy=32.0, width=64, height=64)
 NOISE = NoiseModel(confidence=0.8, flip_rate=0.05, seed=42)
 NUM_LABELS = 40

@@ -478,6 +478,28 @@ class TestStreamingFuse:
         assert err == f"error: {path}: non-finite score at pixel (row=60, col=3, channel=4)\n"
         assert not snapdir.exists() and not (tmp_path / "grid.lgrid").exists()
 
+    @pytest.mark.parametrize("cut, message", [
+        ((slice(0, -1), slice(None), slice(None)), "channel image shape {} does not match "
+                                                   "intrinsics {}"),
+        ((slice(None), slice(None), slice(0, 1)), "channel image needs at least two classes"),
+    ], ids=["size", "channels"])
+    def test_a_fused_image_of_the_wrong_shape_exits_2_naming_the_file(self, sim_run, tmp_path,
+                                                                     capsys, cut, message):
+        """The first fused frame's PROBIMG1 image loses a row, or all but one
+        channel: building the frame fails, and fuse exits 2 naming the file
+        once. The message is the one fuse gave when load_frame added the
+        path; no other test reaches this rejection through fuse."""
+        # the default gate fuses from the second still frame on
+        path = sim_run["stream"] / read_manifest(sim_run["manifest"])[1]["proba_file"]
+        proba = np.asarray(fileio.read_probimg(path))
+        fileio.write_probimg(path, proba[cut])
+        snapdir = tmp_path / "snaps"
+        code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--per-frame-snapshots",
+                               snapdir, "--out", tmp_path / "grid.lgrid")
+        assert code == 2
+        assert err == f"error: {path}: {message.format(proba[cut].shape, proba.shape[:2])}\n"
+        assert not snapdir.exists() and not (tmp_path / "grid.lgrid").exists()
+
     def test_label_count_mismatch_exits_2_naming_the_frame(self, sim_run, tmp_path, capsys):
         code, _, err = run_cli(capsys, "fuse", sim_run["manifest"], "--num-labels", 5,
                                "--out", tmp_path / "grid.lgrid")

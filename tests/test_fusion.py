@@ -126,15 +126,41 @@ class TestFuseStream:
 
     def test_nan_timestamp_names_the_frame(self):
         """A NaN compares false both ways, so an ``<=`` test would let it and
-        every later frame through; plain items skip SensorFrame's checks.
-        ``camera_velocity``'s check is the only one, and the stream names the frame."""
+        every later frame through. The gate checks every item's time, plain
+        ones too, and the stream names the frame."""
         loaded = []
         items = [SimpleNamespace(timestamp=t, pose=Pose.identity(),
                                  load=lambda t=t: loaded.append(t))
                  for t in (0.0, 1.0, math.nan, 3.0)]
-        with pytest.raises(ValueError, match=r"^frame 2: time must advance, got 1\.0 -> nan$"):
+        with pytest.raises(ValueError, match=r"^frame 2: time must be finite, got nan$"):
             fuse_stream(LabelOccupancyGrid(0.5, 2), items, GateConfig(settle_frames=3))
         assert loaded == []
+
+    def test_an_infinite_time_is_not_read_as_still(self):
+        """A frame stamped ``inf`` 5 m from the last pose would read velocity
+        0 and fuse; the gate rejects its time before any velocity is taken."""
+        loaded = []
+        items = [SimpleNamespace(timestamp=t, pose=Pose(np.eye(3), [x, 0.0, 0.0]),
+                                 load=lambda t=t: loaded.append(t) or frame_at(Pose.identity(), t))
+                 for t, x in ((0.0, 0.0), (1.0, 0.0), (math.inf, 5.0))]
+        with pytest.raises(ValueError, match=r"^frame 2: time must be finite, got inf$"):
+            fuse_stream(LabelOccupancyGrid(0.5, 2), items)
+        assert loaded == [1.0]
+
+    def test_a_nan_first_time_names_frame_0(self):
+        """The first frame has no time to advance from; its own time is
+        checked all the same."""
+        items = [SimpleNamespace(timestamp=t, pose=Pose.identity(), load=None)
+                 for t in (math.nan, 1.0)]
+        with pytest.raises(ValueError, match=r"^frame 0: time must be finite, got nan$"):
+            fuse_stream(LabelOccupancyGrid(0.5, 2), items)
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_gate_step_rejects_a_non_finite_time_at_any_index(self, timestamp):
+        still = GateState(0.0, Pose.identity(), 1)
+        for state in (GateState(), still):
+            with pytest.raises(ValueError, match="^time must be finite, got "):
+                gate_step(state, timestamp, Pose.identity(), GateConfig())
 
     def test_gated_frames_leave_grid_bit_identical(self):
         still = frame_at(Pose.identity(), 0.0)

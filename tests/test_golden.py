@@ -24,12 +24,15 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import labelgrid
 from conftest import write_cli_inputs
 from labelgrid import CameraIntrinsics, Pose
 from labelgrid.cli import main
 from labelgrid.fileio import pose_record, write_depth_pgm, write_manifest, write_probimg
+
+pytestmark = pytest.mark.kernels
 
 GOLDEN = {
     "fuse.stdout": "3238ae736964945b77b535cf916295a1452cddb18b273ded0c646892f768a216",

@@ -355,6 +355,11 @@ class TestConstruction:
             g.resolution = 0.5
         with pytest.raises(AttributeError):
             g.num_labels = 8
+        # the checks in __init__ hold for clamp and roi too
+        with pytest.raises(AttributeError):
+            g.clamp = -1.0
+        with pytest.raises(AttributeError):
+            g.roi = (1, 2, 3)
 
 
 class TestKeyRange:
@@ -504,6 +509,7 @@ def random_probs(rng, rows, labels):
     return probs
 
 
+@pytest.mark.kernels
 class TestGrowth:
     """New cells lengthen the matrix in place and move the old rows down
     band by band; the codes and every bit of the matrix are those of the

@@ -140,9 +140,41 @@ class TestSensorFrameValidation:
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_timestamp(self, intr100, timestamp):
-        with pytest.raises(ValueError, match="timestamp must be finite"):
-            make_frame(np.ones((200, 200)), np.full((200, 200, 2), 0.5), intr100,
-                       timestamp=timestamp)
+        """Building a frame leaves its time to the gate, which checks it for
+        the first frame of a stream too."""
+        frame = make_frame(np.ones((200, 200)), np.full((200, 200, 2), 0.5), intr100,
+                           timestamp=timestamp)
+        with pytest.raises(ValueError, match="^frame 0: time must be finite"):
+            fuse_stream(LabelOccupancyGrid(1.0, 2), [frame])
+
+    @pytest.mark.parametrize("shape, message", [
+        ((100, 200, 2), r"channel image shape \(100, 200, 2\) does not match intrinsics"),
+        ((200, 200, 1), "channel image needs at least two classes"),
+    ], ids=["size", "channels"])
+    def test_a_file_image_of_the_wrong_shape_names_its_path(self, intr100, tmp_path, shape,
+                                                            message):
+        path = tmp_path / "bad.probimg"
+        write_probimg(path, np.full(shape, 0.5))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            make_frame(np.ones((200, 200)), read_probimg(path), intr100)
+
+    @pytest.mark.parametrize("dtype, values", [
+        (np.int64, [[1, 0], [0, 1]]),
+        (np.bool_, [[True, False], [False, True]]),
+        (np.float16, [[0.25, 0.75], [0.5, 0.5]]),
+    ])
+    def test_other_dtypes_widen_to_float64(self, dtype, values):
+        """Every entry is exact in its dtype, so the widened frame registers
+        to the bits of its float64 copy."""
+        intr = CameraIntrinsics(fx=4.0, fy=4.0, cx=2.0, cy=2.0, width=4, height=4)
+        proba = np.array(values, dtype=dtype)[np.arange(16) % 2].reshape(4, 4, 2)
+        depth = 1.0 + np.arange(16.0).reshape(4, 4) / 4
+        frame = make_frame(depth, proba, intr)
+        assert frame.proba.dtype == np.float64
+        got = register_frame(frame, 0.5)
+        want = register_frame(make_frame(depth, proba.astype(np.float64), intr), 0.5)
+        assert np.array_equal(got.codes, want.codes)
+        assert np.array_equal(got.means, want.means)
 
     def test_rejects_shape_mismatch(self, intr100):
         with pytest.raises(ValueError):
@@ -392,6 +424,7 @@ def test_register_frame_peak_memory_per_pixel(with_roi, channels, bound):
     assert peak / frame.depth.size < bound
 
 
+@pytest.mark.kernels
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1),
        st.sampled_from([0.01, 0.05, 0.2]),
@@ -566,6 +599,7 @@ def assert_matches_unique_oracle(frame, resolution=1.0, roi=None):
     return result
 
 
+@pytest.mark.kernels
 class TestRunSums:
     """Run-wise sums against the np.unique + np.add.at oracle, bit for bit."""
 
@@ -686,6 +720,7 @@ def test_roi_cut_past_the_int64_range(corner):
     assert result.pixels_skipped_roi == valid
 
 
+@pytest.mark.kernels
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda q: sum(x * x for x in q) > 0.1),
        st.tuples(*[st.floats(-1e3, 1e3)] * 3),
@@ -760,6 +795,7 @@ def probimg_frame_files(tmp_path, proba):
     return tmp_path / "manifest.json", intr
 
 
+@pytest.mark.kernels
 class TestBands:
     """The frame check and the per-voxel means read the image band by band,
     with the results of one pass over the whole image."""
@@ -1167,6 +1203,7 @@ class TestFileImage:
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
+@pytest.mark.kernels
 class TestScoreBands:
     """A PROBIMG1 file of class scores, read as a FileImage with ``scores``,
     softmaxes each band as register_frame reads it, to the bits of
